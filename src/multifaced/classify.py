@@ -22,7 +22,7 @@ from .partitions import (
     one_block,
     refinements,
 )
-from .weights import EPS, BasicCoefficients, approx, check_basic_relations
+from .weights import EPS, BasicCoefficients, approx, basic_diagrams, check_basic_relations
 
 W, B = DEFAULT_ALPHABET
 
@@ -136,24 +136,15 @@ def classify_pattern(bc: BasicCoefficients, eps: float = EPS):
 # -- closure under the rewriting operations ---------------------------------------
 
 
-def _basic_diagrams(c: ClassId) -> list[Partition]:
-    """The basic two-block diagrams belonging to class c (its generators)."""
-    out = []
-    for q in DEFAULT_ALPHABET:
-        for Q in DEFAULT_ALPHABET:
-            if q == Q:
-                cand = [Partition(q * 3, [(1, 3), (2,)]), Partition(q * 4, [(1, 3), (2, 4)])]
-            else:
-                cand = [
-                    Partition(q + q + Q + Q, [(1, 4), (2, 3)]),
-                    Partition(q + q + Q + Q, [(1, 3), (2, 4)]),
-                ]
-            out.extend(d for d in cand if member(c, d))
-    return out
-
-
 def class_generators(c: ClassId) -> list[Partition]:
-    return _basic_diagrams(c)
+    """The basic two-block diagrams belonging to class c (its generators)."""
+    return [
+        d
+        for q in DEFAULT_ALPHABET
+        for Q in DEFAULT_ALPHABET
+        for d in basic_diagrams(q, Q)
+        if member(c, d)
+    ]
 
 
 def closure_generate(

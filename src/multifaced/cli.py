@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import verify as _verify
@@ -25,15 +26,26 @@ EXIT_FAILED = 2
 EXIT_BUDGET = 3
 
 
+def _finite(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite number {text}")
+    return v
+
+
 def _load_json_arg(value: str) -> dict:
-    """Accept inline JSON, a path to a JSON file, or '-' for stdin."""
+    """Accept inline JSON, a path to a JSON file, or '-' for stdin.
+
+    Non-finite numbers (``NaN``, ``Infinity``, or a literal that overflows a
+    float) are rejected as malformed input.
+    """
     text = value.strip()
     if text == "-":
         text = sys.stdin.read()
     elif not text.startswith("{") and not text.startswith("["):
         with open(text) as fh:
             text = fh.read()
-    return json.loads(text)
+    return json.loads(text, parse_float=_finite, parse_constant=_finite)
 
 
 def _warn_legs(max_legs: int) -> None:
@@ -134,7 +146,8 @@ def cmd_product(args) -> int:
     word = tuple((w["factor"], w["face"], w["name"]) for w in query["word"])
     prod = Product(family, factors)
     if args.explain:
-        value, expansion = prod.moment_explained(word)
+        expansion: list[dict] = []
+        value = prod.moment(word, expansion)
         out = {
             "value": {"re": value.real, "im": value.imag},
             "expansion": [

@@ -16,7 +16,7 @@ import itertools
 import random
 from typing import Callable, Iterable, Sequence
 
-from .partitions import Partition, set_partitions
+from .partitions import set_partitions
 from .weights import WeightFamily
 
 # A generator letter is (face, name); a word is a tuple of letters.
@@ -98,10 +98,6 @@ def standard_generators(faces: Sequence[str] = ("w", "b"), per_face: int = 1, pr
 # -- transforms -----------------------------------------------------------------
 
 
-def _weight(family: WeightFamily, faces: str, blocks) -> complex:
-    return family.evaluate(Partition._unsafe(faces, blocks))
-
-
 def exp_alpha(family: WeightFamily, psi: FunctionalTable) -> FunctionalTable:
     """The weighted exponential: moments from cumulants, densely."""
     values: dict[Word, complex] = {}
@@ -109,7 +105,7 @@ def exp_alpha(family: WeightFamily, psi: FunctionalTable) -> FunctionalTable:
         faces = faces_of(word)
         total = 0
         for blocks in set_partitions(len(word)):
-            a = _weight(family, faces, blocks)
+            a = family.weight(faces, blocks)
             if a == 0:
                 continue
             term = a
@@ -132,7 +128,7 @@ def cumulant(family: WeightFamily, table: FunctionalTable, word: Word, cache: di
         for blocks in set_partitions(n):
             if len(blocks) == 1:
                 continue
-            a = _weight(family, faces, blocks)
+            a = family.weight(faces, blocks)
             if a == 0:
                 continue
             term = a
@@ -148,11 +144,6 @@ def log_alpha(family: WeightFamily, phi: FunctionalTable) -> FunctionalTable:
     cache: dict[Word, complex] = {}
     values = {word: cumulant(family, phi, word, cache) for word in phi.words()}
     return FunctionalTable(phi.generators, phi.degree_bound, values=values)
-
-
-# The moment-cumulant relations are exp/log specialized to moment tables.
-moments_to_cumulants = log_alpha
-cumulants_to_moments = exp_alpha
 
 
 def moment_via_ordered_relation(family: WeightFamily, cumulants: FunctionalTable, word: Word) -> complex:
@@ -176,7 +167,7 @@ def moment_via_ordered_relation(family: WeightFamily, cumulants: FunctionalTable
         for i in range(2, k + 1):
             fact *= i
         for _ordering in itertools.permutations(range(k)):
-            total += _weight(family, faces, blocks) * prod / fact
+            total += family.weight(faces, blocks) * prod / fact
     return total
 
 
@@ -292,7 +283,7 @@ def product_letter_cumulant_check(
         for extra in itertools.combinations(others, r):
             b1 = tuple(sorted((i,) + extra))
             b2 = tuple(x for x in legs if x not in b1)
-            a = _weight(family, faces, tuple(sorted((b1, b2), key=lambda b: b[0])))
+            a = family.weight(faces, tuple(sorted((b1, b2), key=lambda b: b[0])))
             if a == 0:
                 continue
             c1 = cumulant(family, table, table.restricted(word, b1), cache2)

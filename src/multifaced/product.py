@@ -5,7 +5,10 @@ the moment of a tagged word equals the weighted sum, over partitions whose
 blocks stay inside one factor, of the family weight of the colored partition
 times the product of the factor cumulants of the block subwords.  Blocks
 mixing factors contribute zero (cumulants of a direct sum vanish on mixed
-words), so only factor-pure partitions are enumerated.
+words), so only factor-pure partitions are enumerated.  ``Product.moment``
+is the one summation loop: given an ``expansion`` list it also records each
+partition's weight and contribution, which ``multifaced product --explain``
+prints.
 
 Coefficient extraction follows the linearization construction: factors carry
 the all-ones functional scaled by a formal nilpotent marker, and the product
@@ -208,52 +211,48 @@ class Product:
     def tag(self, word: Word) -> TaggedWord:
         return tuple((self._owner[g], g[0], g[1]) for g in word)
 
-    def moment(self, word: TaggedWord):
-        """The product moment of a tagged word."""
-        n = len(word)
-        if n == 0:
-            return complex(1)
-        factors_used = {t[0] for t in word}
+    def moment(self, word: TaggedWord, expansion: list | None = None):
+        """The product moment of a tagged word.
+
+        If ``expansion`` is a list, one row ``{"partition", "weight",
+        "contribution"}`` per factor-pure partition is appended to it, in
+        enumeration order; zero-weight rows have contribution 0.  The value
+        is then always the sum over the partitions, also on words of one
+        factor.
+        """
         letters = tuple((t[1], t[2]) for t in word)
-        if len(factors_used) == 1:
-            # Restriction property: single-factor words are factor moments.
-            kappa = next(iter(factors_used))
-            return self.factors[kappa - 1].value(letters)
+        if expansion is None:
+            if not word:
+                return complex(1)
+            factors_used = {t[0] for t in word}
+            if len(factors_used) == 1:
+                # Restriction property: single-factor words are factor moments.
+                kappa = next(iter(factors_used))
+                return self.factors[kappa - 1].value(letters)
         faces = "".join(t[1] for t in word)
         b = tuple(t[0] for t in word)
+        leg = (None, *letters).__getitem__  # 1-based, like the blocks
+        caches = self._cum_cache
         total = 0
-        weight = self.family.evaluate_flat
+        weight = self.family.weight
         for blocks in _factor_pure_partitions(b):
             a = weight(faces, blocks)
-            if a == 0:
-                continue
-            term = a
-            for block in blocks:
-                kappa = b[block[0] - 1]
-                sub = tuple(letters[i - 1] for i in block)
-                term = term * self._cumulant(kappa, sub)
-                if isinstance(term, complex) and term == 0:
-                    break
-            total = term + total
+            term = 0
+            if a != 0:
+                term = a
+                for block in blocks:
+                    kappa = b[block[0] - 1]
+                    sub = tuple(map(leg, block))
+                    c = caches[kappa - 1].get(sub)
+                    if c is None:
+                        c = self._cumulant(kappa, sub)
+                    term = term * c
+                    if isinstance(term, complex) and term == 0:
+                        break
+                total = term + total
+            if expansion is not None:
+                expansion.append({"partition": str(Partition._unsafe(faces, blocks)), "weight": a, "contribution": term})
         return total
-
-    def moment_explained(self, word: TaggedWord):
-        """The moment together with the per-partition expansion."""
-        faces = "".join(t[1] for t in word)
-        b = tuple(t[0] for t in word)
-        letters = tuple((t[1], t[2]) for t in word)
-        expansion = []
-        total = 0
-        for blocks in _factor_pure_partitions(b):
-            p = Partition._unsafe(faces, blocks)
-            a = self.family.evaluate_flat(faces, blocks)
-            term = a
-            for block in blocks:
-                kappa = b[block[0] - 1]
-                term = term * self._cumulant(kappa, tuple(letters[i - 1] for i in block))
-            total = term + total
-            expansion.append({"partition": str(p), "weight": a, "contribution": term})
-        return total, expansion
 
     def _cumulant(self, kappa: int, word: Word):
         return cumulant(self.family, self.factors[kappa - 1], word, self._cum_cache[kappa - 1])

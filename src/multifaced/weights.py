@@ -10,6 +10,12 @@ reduction: reduce, peel the first two legs with the split relation
 ``a(p) = a(p with the two blocks united) * a(two-block subpartition)``, and
 resolve two-block partitions down to the four basic coefficients
 (monochrome/bicolor nesting ``nu`` and crossing ``xi``).
+
+Every family memoizes its values in one dict keyed by the raw
+``(word, blocks)`` pair.  ``evaluate(p)`` reads it for a ``Partition``;
+``weight(faces, blocks)`` reads it for callers that hold only the raw data
+(the transforms and the product engine) and builds a ``Partition`` only on
+a miss.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from typing import Callable
 from .classes import ALL_CLASSES, ClassId, member
 from .partitions import (
     DEFAULT_ALPHABET,
+    Blocks,
     Partition,
     all_words,
     enumerate_partitions,
@@ -41,6 +48,19 @@ def on_unit_circle_or_zero(z: complex, eps: float = EPS) -> bool:
 
 
 # -- basic coefficients --------------------------------------------------------
+
+
+def basic_diagrams(q: str, Q: str) -> tuple[Partition, Partition]:
+    """The nesting and the crossing diagram with inner legs q, Q.
+
+    Nesting is ``qqq/13|2`` for q == Q and ``qqQQ/14|23`` otherwise;
+    crossing is ``qqQQ/13|24``.
+    """
+    if q == Q:
+        nu_d = Partition(q * 3, [(1, 3), (2,)])
+    else:
+        nu_d = Partition(q + q + Q + Q, [(1, 4), (2, 3)])
+    return nu_d, Partition(q + q + Q + Q, [(1, 3), (2, 4)])
 
 
 class BasicCoefficients:
@@ -80,6 +100,17 @@ class BasicCoefficients:
             "xi_b": enc(self.xi[(b, b)]),
             "xi_wb": enc(self.xi[(w, b)]),
         }
+
+    @classmethod
+    def from_diagrams(cls, value: Callable[[Partition], complex], alphabet=DEFAULT_ALPHABET) -> "BasicCoefficients":
+        """The coefficients read off the basic diagrams by ``value``."""
+        nu: dict[tuple[str, str], complex] = {}
+        xi: dict[tuple[str, str], complex] = {}
+        for q in alphabet:
+            for Q in alphabet:
+                nu_d, xi_d = basic_diagrams(q, Q)
+                nu[(q, Q)], xi[(q, Q)] = value(nu_d), value(xi_d)
+        return cls(nu, xi, alphabet)
 
     @classmethod
     def from_json(cls, obj: dict) -> "BasicCoefficients":
@@ -149,23 +180,21 @@ class WeightFamily:
     def __init__(self, alphabet=DEFAULT_ALPHABET, name: str = ""):
         self.alphabet = tuple(alphabet)
         self.name = name or self.kind
-        self._cache: dict[Partition, complex] = {}
-        self._flat_cache: dict[tuple, complex] = {}
+        self._cache: dict[tuple[str, Blocks], complex] = {}
 
     def evaluate(self, p: Partition) -> complex:
-        v = self._cache.get(p)
+        key = (p.word, p.blocks)
+        v = self._cache.get(key)
         if v is None:
             v = self._value(p)
-            self._cache[p] = v
+            self._cache[key] = v
         return v
 
-    def evaluate_flat(self, faces: str, blocks) -> complex:
-        """evaluate() keyed by raw (word, blocks) data; hot-loop helper."""
-        key = (faces, blocks)
-        v = self._flat_cache.get(key)
+    def weight(self, faces: str, blocks: Blocks) -> complex:
+        """evaluate() of the partition with canonical ``blocks`` on ``faces``."""
+        v = self._cache.get((faces, blocks))
         if v is None:
             v = self.evaluate(Partition._unsafe(faces, blocks))
-            self._flat_cache[key] = v
         return v
 
     def _value(self, p: Partition) -> complex:
@@ -173,20 +202,7 @@ class WeightFamily:
 
     def basic_coefficients(self) -> BasicCoefficients:
         """Evaluate the four defining diagrams for every ordered face pair."""
-        nu: dict[tuple[str, str], complex] = {}
-        xi: dict[tuple[str, str], complex] = {}
-        for q in self.alphabet:
-            for Q in self.alphabet:
-                nu[(q, Q)], xi[(q, Q)] = self._basic_pair(q, Q)
-        return BasicCoefficients(nu, xi, self.alphabet)
-
-    def _basic_pair(self, q: str, Q: str) -> tuple[complex, complex]:
-        if q == Q:
-            nu_d = Partition(q * 3, [(1, 3), (2,)])
-        else:
-            nu_d = Partition(q + q + Q + Q, [(1, 4), (2, 3)])
-        xi_d = Partition(q + q + Q + Q, [(1, 3), (2, 4)])
-        return self.evaluate(nu_d), self.evaluate(xi_d)
+        return BasicCoefficients.from_diagrams(self.evaluate, self.alphabet)
 
     def descriptor(self) -> dict:
         raise NotImplementedError(f"{self.kind} family has no JSON descriptor")
@@ -203,28 +219,13 @@ class ClassIndicatorFamily(WeightFamily):
     def __init__(self, class_id: ClassId):
         super().__init__(DEFAULT_ALPHABET, name=f"class:{class_id.value}")
         self.class_id = class_id
-        self._bc = None
-
-    def _basics(self) -> BasicCoefficients:
-        if self._bc is None:
-            nu, xi = {}, {}
-            for q in self.alphabet:
-                for Q in self.alphabet:
-                    if q == Q:
-                        nu_d = Partition(q * 3, [(1, 3), (2,)])
-                    else:
-                        nu_d = Partition(q + q + Q + Q, [(1, 4), (2, 3)])
-                    xi_d = Partition(q + q + Q + Q, [(1, 3), (2, 4)])
-                    nu[(q, Q)] = complex(member(self.class_id, nu_d))
-                    xi[(q, Q)] = complex(member(self.class_id, xi_d))
-            self._bc = BasicCoefficients(nu, xi, self.alphabet)
-        return self._bc
+        self._bc = BasicCoefficients.from_diagrams(lambda d: complex(member(class_id, d)), self.alphabet)
 
     def _value(self, p: Partition) -> complex:
-        return _canonical_value(p, self._basics(), self.evaluate)
+        return _canonical_value(p, self._bc, self.evaluate)
 
     def basic_coefficients(self) -> BasicCoefficients:
-        return self._basics()
+        return self._bc
 
     def descriptor(self) -> dict:
         return {"kind": "class", "class": self.class_id.value}

@@ -86,6 +86,11 @@ class TestCheckAdmissible:
         code, _, err = run(capsys, "check-admissible", "--family", json.dumps(fam), "--max-legs", "4")
         assert code == 1
 
+    def test_nan_zeta_rejected(self, capsys):
+        fam = '{"kind": "deformed", "base": "tensor", "zeta": {"re": NaN, "im": 0}}'
+        code, out, err = run(capsys, "check-admissible", "--family", fam, "--max-legs", "3")
+        assert code == 1 and out == "" and "malformed input" in err
+
 
 class TestClosure:
     def test_interval_closure(self, capsys):
@@ -127,6 +132,15 @@ class TestClassify:
             '{"nu_w":0,"nu_b":1,"nu_wb":1,"xi_w":0,"xi_b":0,"xi_wb":0}',
         )
         assert json.loads(out) == {"result": "none"}
+
+    def test_nan_rejected(self, capsys):
+        code, out, err = run(
+            capsys,
+            "classify",
+            "--basic",
+            '{"nu_w":NaN,"nu_b":1,"nu_wb":0,"xi_w":0,"xi_b":0,"xi_wb":1}',
+        )
+        assert code == 1 and out == "" and "malformed input" in err
 
 
 class TestHasse:
@@ -187,6 +201,14 @@ class TestProduct:
         path.write_text('{"nope": 1}')
         code, _, err = run(capsys, "product", "--query", str(path))
         assert code == 1
+
+    def test_infinite_table_value_rejected(self, capsys, tmp_path):
+        path, _, _ = make_query(tmp_path)
+        query = json.loads(path.read_text())
+        query["factors"][0]["values"][0]["value"]["re"] = "INF"
+        path.write_text(json.dumps(query).replace('"INF"', "Infinity"))
+        code, out, err = run(capsys, "product", "--query", str(path))
+        assert code == 1 and out == "" and "malformed input" in err
 
 
 class TestVerifyCommand:

@@ -16,8 +16,6 @@ from multifaced.cumulants import (
     product_letter_cumulant_check,
     log_alpha,
     moment_via_ordered_relation,
-    moments_to_cumulants,
-    cumulants_to_moments,
     random_table,
     standard_generators,
     substituted_table,
@@ -97,10 +95,6 @@ class TestExpLog:
             for w in t.words():
                 assert abs(there.value(w) - t.value(w)) < 1e-9
                 assert abs(back.value(w) - t.value(w)) < 1e-9
-
-    def test_aliases(self):
-        assert moments_to_cumulants is log_alpha
-        assert cumulants_to_moments is exp_alpha
 
     def test_single_face_word_moment(self):
         # one generator per face: m_w = c_w at degree one

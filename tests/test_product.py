@@ -204,8 +204,53 @@ class TestProductMoment:
         t1, t2 = random_table(G1, 4, r), random_table(G2, 4, r)
         prod = Product(fam, (t1, t2))
         word = rand_tagged_word(r, (G1, G2), 4)
-        value, expansion = prod.moment_explained(word)
+        expansion = []
+        value = prod.moment(word, expansion)
         assert abs(sum(e["contribution"] for e in expansion) - value) < 1e-12
+
+    @pytest.mark.parametrize(
+        "fam",
+        [ClassIndicatorFamily(ClassId.NC), ClassIndicatorFamily(ClassId.I), DeformedFamily("bifree", cmath.exp(0.4j))],
+        ids=lambda f: f.name,
+    )
+    def test_expansion_rows_against_reference(self, fam):
+        # one row per factor-pure partition, summing to the value; on words
+        # of several factors the value is the plain moment, bit for bit, and
+        # matches the sum over factor-pure partitions written out here
+        from multifaced.cumulants import cumulant
+        from multifaced.partitions import set_partitions
+
+        r = rng()
+        gens = (G1, G2, G3)
+        tables = tuple(random_table(g, 5, r) for g in gens)
+        prod = Product(fam, tables)
+        multi = 0
+        for _ in range(40):
+            word = rand_tagged_word(r, gens, r.randint(1, 5))
+            rows = []
+            value = prod.moment(word, rows)
+            faces = "".join(t[1] for t in word)
+            letters = tuple((t[1], t[2]) for t in word)
+            caches = [{} for _ in tables]
+            pure, want = [], 0
+            for blocks in set_partitions(len(word)):
+                if any(len({word[i - 1][0] for i in blk}) > 1 for blk in blocks):
+                    continue
+                p = Partition(faces, blocks)
+                pure.append(str(p))
+                term = fam.evaluate(p)
+                for blk in blocks:
+                    kappa = word[blk[0] - 1][0]
+                    term *= cumulant(fam, tables[kappa - 1], tuple(letters[i - 1] for i in blk), caches[kappa - 1])
+                want += term
+            assert sorted(row["partition"] for row in rows) == sorted(pure)
+            assert all(row["contribution"] == 0 for row in rows if row["weight"] == 0)
+            assert abs(sum(row["contribution"] for row in rows) - value) < 1e-12
+            assert abs(value - want) < 1e-12
+            if len({t[0] for t in word}) > 1:
+                multi += 1
+                assert value == prod.moment(word)
+        assert multi >= 20
 
 
 class TestWellDefinedness:

@@ -25,6 +25,7 @@ from multifaced.weights import (
     is_singleton_inductive,
     on_unit_circle_or_zero,
 )
+from multifaced.verify import stock_families
 
 STOCK = [ClassIndicatorFamily(c) for c in ALL_CLASSES] + [
     DeformedFamily("tensor", 1j),
@@ -79,6 +80,20 @@ class TestEvaluate:
             fam.evaluate(parse_diagram("ww/1|2"))
         with pytest.raises(MissingEntryError):
             fam.evaluate(parse_diagram("www/123"))
+
+
+class TestWeightStore:
+    @pytest.mark.parametrize("idx", range(len(stock_families())), ids=[f.name for f in stock_families()])
+    def test_weight_agrees_with_evaluate(self, idx):
+        # two fresh instances, one filled through weight() first and one
+        # through evaluate() first, read back identical values both ways
+        by_weight, by_evaluate = stock_families()[idx], stock_families()[idx]
+        parts = [p for n in range(1, 6) for w in all_words("wb", n) for p in enumerate_partitions(w)]
+        for p in parts:
+            assert by_weight.weight(p.word, p.blocks) == by_evaluate.evaluate(p)
+        for p in parts:
+            assert by_weight.evaluate(p) == by_weight.weight(p.word, p.blocks)
+            assert by_evaluate.weight(p.word, p.blocks) == by_evaluate.evaluate(p)
 
 
 class TestBasicCoefficients:
