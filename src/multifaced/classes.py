@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable
 
-from .partitions import DEFAULT_ALPHABET, Partition, _analysis, all_words, enumerate_partitions
+from .partitions import DEFAULT_ALPHABET, Partition, _analysis, partitions_upto
 
 W, B = DEFAULT_ALPHABET
 
@@ -159,15 +159,7 @@ def member(c: ClassId, p: Partition) -> bool:
     return _PREDICATES[c](p)
 
 
-def class_partitions(c: ClassId, max_legs: int) -> Iterator[Partition]:
-    """All members of class c with at most max_legs legs (all colorings)."""
-    for n in range(1, max_legs + 1):
-        for word in all_words(DEFAULT_ALPHABET, n):
-            for p in enumerate_partitions(word):
-                if member(c, p):
-                    yield p
-
-
 @lru_cache(maxsize=None)
 def class_member_set(c: ClassId, max_legs: int) -> frozenset[Partition]:
-    return frozenset(class_partitions(c, max_legs))
+    """All members of class c with at most max_legs legs (all colorings)."""
+    return frozenset(p for p in partitions_upto(max_legs) if member(c, p))

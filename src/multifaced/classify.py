@@ -18,8 +18,8 @@ from .partitions import (
     DEFAULT_ALPHABET,
     Partition,
     all_words,
-    enumerate_partitions,
     one_block,
+    partitions_upto,
     refinements,
 )
 from .weights import EPS, BasicCoefficients, approx, basic_diagrams, check_basic_relations
@@ -228,12 +228,10 @@ def closure_generate(
         for leg in range(1, n):
             if p._block_index[leg] == p._block_index[leg + 1] and p.word[leg - 1] == p.word[leg]:
                 add(p.merge_legs(leg))
-        for i in range(1, n):
-            bi, bj = p._block_index[i], p._block_index[i + 1]
-            if bi == bj or p.word[i - 1] != p.word[i]:
-                continue
-            add(p.unite_blocks(p.blocks[bi], p.blocks[bj]))
-            add(p.restrict(p.blocks[bi] + p.blocks[bj]))
+        for i in p.split_sites():
+            united, remembered = p.split_at(i)
+            add(united)
+            add(remembered)
         if p.block_count == 2:
             two_blocks.setdefault(p.word, []).append(p)
             for host, b in block_sites.get(p.word, ()):
@@ -369,22 +367,20 @@ def refinement_restriction_check(c, max_legs: int) -> dict:
     """
     pred = (lambda p: member(c, p)) if isinstance(c, ClassId) else c
     checked = 0
-    for n in range(1, max_legs + 1):
-        for word in all_words(DEFAULT_ALPHABET, n):
-            for rho in enumerate_partitions(word):
-                if not pred(rho):
-                    continue
-                for sigma in refinements(rho):
-                    checked += 1
-                    whole = pred(sigma)
-                    blockwise = all(pred(sigma.restrict(b)) for b in rho.blocks)
-                    if whole != blockwise:
-                        return {
-                            "ok": False,
-                            "checked": checked,
-                            "rho": str(rho),
-                            "sigma": str(sigma),
-                            "member": whole,
-                            "blockwise": blockwise,
-                        }
+    for rho in partitions_upto(max_legs):
+        if not pred(rho):
+            continue
+        for sigma in refinements(rho):
+            checked += 1
+            whole = pred(sigma)
+            blockwise = all(pred(sigma.restrict(b)) for b in rho.blocks)
+            if whole != blockwise:
+                return {
+                    "ok": False,
+                    "checked": checked,
+                    "rho": str(rho),
+                    "sigma": str(sigma),
+                    "member": whole,
+                    "blockwise": blockwise,
+                }
     return {"ok": True, "checked": checked}

@@ -33,11 +33,20 @@ def _finite(text: str) -> float:
     return v
 
 
+def _float_sized(text: str) -> int:
+    # Integers stay ints (degree bounds, leg counts, factor indices), but
+    # every number may end up in complex(), so it must fit in a float.
+    v = int(text)
+    if abs(v) > sys.float_info.max:
+        raise ValueError(f"integer {text[:20]}... too large for a float")
+    return v
+
+
 def _load_json_arg(value: str) -> dict:
     """Accept inline JSON, a path to a JSON file, or '-' for stdin.
 
     Non-finite numbers (``NaN``, ``Infinity``, or a literal that overflows a
-    float) are rejected as malformed input.
+    float, integer or not) are rejected as malformed input.
     """
     text = value.strip()
     if text == "-":
@@ -45,7 +54,7 @@ def _load_json_arg(value: str) -> dict:
     elif not text.startswith("{") and not text.startswith("["):
         with open(text) as fh:
             text = fh.read()
-    return json.loads(text, parse_float=_finite, parse_constant=_finite)
+    return json.loads(text, parse_float=_finite, parse_int=_float_sized, parse_constant=_finite)
 
 
 def _warn_legs(max_legs: int) -> None:

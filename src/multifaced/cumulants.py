@@ -13,6 +13,7 @@ by the triangular recursion in the word length.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from typing import Callable, Iterable, Sequence
 
@@ -22,10 +23,6 @@ from .weights import WeightFamily
 # A generator letter is (face, name); a word is a tuple of letters.
 Letter = tuple[str, str]
 Word = tuple[Letter, ...]
-
-
-def letter(face: str, name: str) -> Letter:
-    return (face, name)
 
 
 def faces_of(word: Word) -> str:
@@ -309,10 +306,30 @@ def table_to_json(t: FunctionalTable) -> dict:
 
 
 def table_from_json(obj: dict) -> FunctionalTable:
+    """A dense table from JSON; it must be total on its domain.
+
+    Raises ValueError naming the first word that lies outside the declared
+    generators up to the degree bound, or the first word of that domain
+    without a value.
+    """
     generators = tuple((g["face"], g["name"]) for g in obj["generators"])
+    degree_bound = obj["degree_bound"]
+    if not isinstance(degree_bound, int):
+        raise ValueError(f"degree_bound must be an integer, got {degree_bound!r}")
+    declared = set(generators)
     values: dict[Word, complex] = {}
     for entry in obj["values"]:
         word = tuple((f, name) for f, name in entry["word"])
+        if not 1 <= len(word) <= degree_bound or not declared.issuperset(word):
+            raise ValueError(f"word {_word_json(word)} is not over the declared generators up to degree {degree_bound}")
         v = entry["value"]
         values[word] = complex(v.get("re", 0.0), v.get("im", 0.0))
-    return FunctionalTable(generators, obj["degree_bound"], values=values)
+    table = FunctionalTable(generators, degree_bound, values=values)
+    for word in table.words():
+        if word not in values:
+            raise ValueError(f"table has no value for word {_word_json(word)}")
+    return table
+
+
+def _word_json(word: Word) -> str:
+    return json.dumps([list(g) for g in word])

@@ -121,10 +121,6 @@ class Partition:
         a = _analysis(self)
         return a.component[self.block_index_of(leg1)] == a.component[self.block_index_of(leg2)]
 
-    def crossing_block_pairs(self) -> frozenset[tuple[int, int]]:
-        """Pairs (i, j), i < j, of block indices whose blocks cross."""
-        return _analysis(self).crossings
-
     def refines(self, other: "Partition") -> bool:
         """True iff every block of self is contained in a block of other."""
         if self.word != other.word:
@@ -170,6 +166,28 @@ class Partition:
         rest = [b for b in self.blocks if b != b1 and b != b2]
         rest.append(tuple(sorted(b1 + b2)))
         return Partition._unsafe(self.word, _canonical_blocks(rest))
+
+    def split_sites(self) -> list[int]:
+        """Legs i such that legs i and i + 1 share a face but not a block.
+
+        These are the positions where the split relation applies; see
+        :meth:`split_at`.
+        """
+        idx, word = self._block_index, self.word
+        return [i for i in range(1, self.n) if idx[i] != idx[i + 1] and word[i - 1] == word[i]]
+
+    def split_at(self, i: int) -> tuple["Partition", "Partition"]:
+        """Both sides of the split relation at the site between legs i, i + 1.
+
+        Returns ``(united, remembered)``: self with the blocks of legs i and
+        i + 1 united, and the two-block partition those blocks form.  An
+        admissible weight satisfies ``a(self) = a(united) * a(remembered)``.
+        """
+        idx = self._block_index
+        if not 1 <= i < self.n or idx[i] == idx[i + 1] or self.word[i - 1] != self.word[i]:
+            raise PartitionError(f"legs {i}, {i + 1} of {self} are not a same-face block boundary")
+        b1, b2 = self.blocks[idx[i]], self.blocks[idx[i + 1]]
+        return self.unite_blocks(b1, b2), self.restrict(b1 + b2)
 
     def split_block_at_leg(self, leg: int) -> "Partition":
         """Duplicate ``leg`` and split its block between the two copies.
@@ -383,10 +401,6 @@ def _analysis(p: Partition) -> _Analysis:
     return _Analysis(frozenset(inner), crossings, component)
 
 
-def inner_legs(p: Partition) -> frozenset[int]:
-    return _analysis(p).inner
-
-
 # -- enumeration --------------------------------------------------------------
 
 
@@ -427,6 +441,17 @@ def all_words(alphabet: Sequence[str], n: int) -> Iterator[str]:
     """All face words of length exactly n over the alphabet."""
     for letters in itertools.product(alphabet, repeat=n):
         yield "".join(letters)
+
+
+def partitions_upto(max_legs: int, alphabet: Sequence[str] = DEFAULT_ALPHABET) -> Iterator[Partition]:
+    """Every partition of 1 to max_legs legs over the alphabet, each once.
+
+    Ordered by leg count, then face word (as :func:`all_words`), then
+    restricted growth string (as :func:`enumerate_partitions`).
+    """
+    for n in range(1, max_legs + 1):
+        for word in all_words(alphabet, n):
+            yield from enumerate_partitions(word)
 
 
 def empty_partition(word: str = "") -> Partition:

@@ -445,7 +445,6 @@ def combinatorial_moment(
     partition inside the class, the sign (-1)^(|R|-1) times the product of
     factor moments over the blocks of the meet of R.
     """
-    prod = Product(_indicator(c), factors)
     s = tagged_word_structure(word)
     pi = s.factor_partition()
     S = coarsest_refinements_in_class(c, pi)
@@ -458,22 +457,12 @@ def combinatorial_moment(
             wedge = meet(subset)
             term = complex(1)
             for block in wedge.blocks:
-                term *= prod.moment(tuple(word[i - 1] for i in block))
+                # Every S member refines the factor partition, so each block
+                # of the meet lies inside one factor: a factor moment.
+                kappa = word[block[0] - 1][0]
+                term *= factors[kappa - 1].value(tuple(word[i - 1][1:] for i in block))
             total += sign * term
     return total
-
-
-_indicator_store: dict[ClassId, WeightFamily] = {}
-
-
-def _indicator(c: ClassId) -> WeightFamily:
-    fam = _indicator_store.get(c)
-    if fam is None:
-        from .weights import ClassIndicatorFamily
-
-        fam = ClassIndicatorFamily(c)
-        _indicator_store[c] = fam
-    return fam
 
 
 # -- unit preservation ------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .cumulants import (
     random_table,
     standard_generators,
 )
-from .partitions import Partition, all_words, enumerate_partitions
+from .partitions import Partition, all_words, enumerate_partitions, partitions_upto
 from .product import (
     Product,
     associativity_symmetry_check,
@@ -48,7 +48,6 @@ from .weights import (
     approx,
     bi_interval_family,
     check_admissible,
-    evaluate_randomized,
 )
 
 ZETAS = (complex(1), 1j, cmath.exp(2j * math.pi / 3))
@@ -233,11 +232,9 @@ def criterion_reconstruction(seed: int = 0, trials: int = 20, max_len: int = 5) 
             r = associativity_symmetry_check(fam, t1, t2, t3, max_len)
             worst_assoc = max(worst_assoc, r["worst_associativity"])
             worst_sym = max(worst_sym, r["worst_symmetry"])
-        for n in range(1, max_len + 1):
-            for w in all_words("wb", n):
-                for p in enumerate_partitions(w):
-                    got = extract_highest_coefficient(fam, p)
-                    worst_extract = max(worst_extract, abs(got - fam.evaluate(p)))
+        for p in partitions_upto(max_len):
+            got = extract_highest_coefficient(fam, p)
+            worst_extract = max(worst_extract, abs(got - fam.evaluate(p)))
     ok = (
         worst_wd <= EPS
         and worst_assoc <= EPS
@@ -449,19 +446,6 @@ def _rgs_count(n: int) -> int:
 # -- extra cross-checks used by the test suite ---------------------------------------
 
 
-def confluence_probe(family: WeightFamily, max_legs: int, paths: int, seed: int) -> float:
-    """Worst disagreement between the canonical and randomized evaluations."""
-    rng = random.Random(seed)
-    worst = 0.0
-    for n in range(1, max_legs + 1):
-        for w in all_words(family.alphabet, n):
-            for p in enumerate_partitions(w):
-                v = family.evaluate(p)
-                for _ in range(paths):
-                    worst = max(worst, abs(evaluate_randomized(family, p, rng) - v))
-    return worst
-
-
 def cyclic_invariance_classes(max_legs: int = 6) -> dict[str, bool]:
     """Which stock class indicators are invariant under cyclic leg rotation.
 
@@ -469,21 +453,10 @@ def cyclic_invariance_classes(max_legs: int = 6) -> dict[str, bool]:
     witness whose weight changes under rotation, so no other symmetric
     two-faced independence can preserve traces.
     """
-    out = {}
-    for c in ALL_CLASSES:
-        invariant = True
-        for n in range(1, max_legs + 1):
-            for w in all_words("wb", n):
-                for p in enumerate_partitions(w):
-                    if member(c, p) != member(c, p.rotate()):
-                        invariant = False
-                        break
-                if not invariant:
-                    break
-            if not invariant:
-                break
-        out[c.value] = invariant
-    return out
+    return {
+        c.value: all(member(c, p) == member(c, p.rotate()) for p in partitions_upto(max_legs))
+        for c in ALL_CLASSES
+    }
 
 
 def commuting_faces_classes() -> list[str]:

@@ -29,9 +29,8 @@ from .partitions import (
     DEFAULT_ALPHABET,
     Blocks,
     Partition,
-    all_words,
-    enumerate_partitions,
     parse_diagram,
+    partitions_upto,
 )
 
 EPS = 1e-9
@@ -360,14 +359,10 @@ def _canonical_value(p: Partition, bc: BasicCoefficients, rec: Callable[[Partiti
         return complex(1)
     if p.block_count == 2:
         return _two_block_value(p, bc, rec)
-    b1 = p._block_index[1]
-    b2 = p._block_index[2]
-    if b1 == b2:
-        q = p.change_extremal_face("first", p.word[1])
-        return rec(q.merge_legs(1))
     q = p.change_extremal_face("first", p.word[1])
-    united = q.unite_blocks(q.blocks[b1], q.blocks[b2])
-    remembered = q.restrict(q.blocks[b1] + q.blocks[b2])
+    if p._block_index[1] == p._block_index[2]:
+        return rec(q.merge_legs(1))
+    united, remembered = q.split_at(1)
     return rec(united) * rec(remembered)
 
 
@@ -403,11 +398,7 @@ def _two_block_value(p: Partition, bc: BasicCoefficients, rec: Callable[[Partiti
     # and 2.  Both ends being normalized guarantees both factors have fewer
     # than n legs once their leading same-block runs merge away.
     p = p.change_extremal_face("first", p.word[1])
-    split = p.split_block_at_leg(3)
-    sb1 = split.block_of(1)
-    sb2 = split.block_of(2)
-    united = split.unite_blocks(sb1, sb2)
-    remembered = split.restrict(sb1 + sb2)
+    united, remembered = p.split_block_at_leg(3).split_at(1)
     return rec(united) * rec(remembered)
 
 
@@ -427,16 +418,9 @@ def evaluate_randomized(family: WeightFamily, p: Partition, rng: random.Random) 
         if rng.random() < 0.5:
             return go(p.mirror()).conjugate()
         if p.block_count >= 3:
-            eligible = [
-                i
-                for i in range(1, p.n)
-                if p._block_index[i] != p._block_index[i + 1] and p.word[i - 1] == p.word[i]
-            ]
+            eligible = p.split_sites()
             if eligible:
-                i = rng.choice(eligible)
-                bi, bj = p._block_index[i], p._block_index[i + 1]
-                united = p.unite_blocks(p.blocks[bi], p.blocks[bj])
-                remembered = p.restrict(p.blocks[bi] + p.blocks[bj])
+                united, remembered = p.split_at(rng.choice(eligible))
                 return go(united) * go(remembered)
             # No same-face boundary between blocks: recolor a random end.
             if rng.random() < 0.5:
@@ -446,12 +430,9 @@ def evaluate_randomized(family: WeightFamily, p: Partition, rng: random.Random) 
                 conj = False
             q = p.change_extremal_face("first", p.word[1])
             if q._block_index[1] == q._block_index[2]:
-                q = q.merge_legs(1)
-                v = go(q)
+                v = go(q.merge_legs(1))
             else:
-                bi, bj = q._block_index[1], q._block_index[2]
-                united = q.unite_blocks(q.blocks[bi], q.blocks[bj])
-                remembered = q.restrict(q.blocks[bi] + q.blocks[bj])
+                united, remembered = q.split_at(1)
                 v = go(united) * go(remembered)
             return v.conjugate() if conj else v
         # Two blocks: use the deterministic resolver from a random end.
@@ -514,32 +495,26 @@ def check_admissible(family: WeightFamily, max_legs: int, eps: float = EPS) -> A
     """
     report = AdmissibilityReport(family.name, max_legs)
     ev = family.evaluate
-    for n in range(1, max_legs + 1):
-        for word in all_words(family.alphabet, n):
-            for p in enumerate_partitions(word):
-                v = ev(p)
-                if p.block_count == 1 and not approx(v, 1, eps):
-                    report.record("i", p, f"value {v}")
-                if n == 2 and p.block_count == 2 and not approx(v, 1, eps):
-                    report.record("ii", p, f"value {v}")
-                red = p.reduce()
-                if red != p and not approx(v, ev(red), eps):
-                    report.record("iii", p, f"{v} != {ev(red)} after reduction")
-                for i in range(1, n):
-                    bi, bj = p._block_index[i], p._block_index[i + 1]
-                    if bi == bj or word[i - 1] != word[i]:
-                        continue
-                    united = p.unite_blocks(p.blocks[bi], p.blocks[bj])
-                    remembered = p.restrict(p.blocks[bi] + p.blocks[bj])
-                    if not approx(v, ev(united) * ev(remembered), eps):
-                        report.record("iv", p, f"split at legs {i},{i + 1}")
-                for end in ("first", "last"):
-                    for face in family.alphabet:
-                        q = p.change_extremal_face(end, face)
-                        if not approx(v, ev(q), eps):
-                            report.record("v", p, f"recolor {end} leg to {face}")
-                if not approx(ev(p.mirror()), v.conjugate(), eps):
-                    report.record("vi", p, f"mirror value {ev(p.mirror())} vs conj {v.conjugate()}")
+    for p in partitions_upto(max_legs, family.alphabet):
+        v = ev(p)
+        if p.block_count == 1 and not approx(v, 1, eps):
+            report.record("i", p, f"value {v}")
+        if p.n == 2 and p.block_count == 2 and not approx(v, 1, eps):
+            report.record("ii", p, f"value {v}")
+        red = p.reduce()
+        if red != p and not approx(v, ev(red), eps):
+            report.record("iii", p, f"{v} != {ev(red)} after reduction")
+        for i in p.split_sites():
+            united, remembered = p.split_at(i)
+            if not approx(v, ev(united) * ev(remembered), eps):
+                report.record("iv", p, f"split at legs {i},{i + 1}")
+        for end in ("first", "last"):
+            for face in family.alphabet:
+                q = p.change_extremal_face(end, face)
+                if not approx(v, ev(q), eps):
+                    report.record("v", p, f"recolor {end} leg to {face}")
+        if not approx(ev(p.mirror()), v.conjugate(), eps):
+            report.record("vi", p, f"mirror value {ev(p.mirror())} vs conj {v.conjugate()}")
     return report
 
 
@@ -571,23 +546,17 @@ def is_singleton_inductive(family: WeightFamily, max_legs: int, eps: float = EPS
     Exhaustive up to max_legs; also cross-checks the equivalent condition
     that the monochrome nesting coefficient is 1 for every face.
     """
+    ev = family.evaluate
     witness = None
-    for n in range(2, max_legs + 1):
-        if witness:
+    for p in partitions_upto(max_legs, family.alphabet):
+        if p.n == 1:
+            continue  # removing its singleton would leave no legs
+        if any(
+            len(b) == 1 and not approx(ev(p), ev(p.restrict([leg for leg in range(1, p.n + 1) if leg != b[0]])), eps)
+            for b in p.blocks
+        ):
+            witness = p
             break
-        for word in all_words(family.alphabet, n):
-            if witness:
-                break
-            for p in enumerate_partitions(word):
-                for b in p.blocks:
-                    if len(b) != 1:
-                        continue
-                    smaller = p.restrict([leg for leg in range(1, n + 1) if leg != b[0]])
-                    if not approx(family.evaluate(p), family.evaluate(smaller), eps):
-                        witness = p
-                        break
-                if witness:
-                    break
     bc = family.basic_coefficients()
     nu_all_one = all(approx(bc.nu[(q, q)], 1, eps) for q in family.alphabet)
     return SingletonReport(witness is None, witness, nu_all_one)

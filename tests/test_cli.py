@@ -142,6 +142,12 @@ class TestClassify:
         )
         assert code == 1 and out == "" and "malformed input" in err
 
+    def test_huge_integer_rejected(self, capsys):
+        # an integer literal too large for a float cannot become a coefficient
+        basic = '{"nu_w":1%s,"nu_b":1,"nu_wb":0,"xi_w":0,"xi_b":0,"xi_wb":1}' % ("0" * 400)
+        code, out, err = run(capsys, "classify", "--basic", basic)
+        assert code == 1 and out == "" and "malformed input" in err
+
 
 class TestHasse:
     def test_writes_dot(self, capsys, tmp_path):
@@ -209,6 +215,14 @@ class TestProduct:
         path.write_text(json.dumps(query).replace('"INF"', "Infinity"))
         code, out, err = run(capsys, "product", "--query", str(path))
         assert code == 1 and out == "" and "malformed input" in err
+
+    def test_missing_table_value_rejected(self, capsys, tmp_path):
+        path, _, _ = make_query(tmp_path)
+        query = json.loads(path.read_text())
+        missing = query["factors"][1]["values"].pop(3)["word"]
+        path.write_text(json.dumps(query))
+        code, out, err = run(capsys, "product", "--query", str(path))
+        assert code == 1 and out == "" and "malformed input" in err and json.dumps(missing) in err
 
 
 class TestVerifyCommand:

@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -56,6 +57,18 @@ class TestTables:
         assert back.generators == t.generators
         for w in t.words():
             assert back.value(w) == t.value(w)
+
+    def test_json_table_must_be_total(self):
+        obj = table_to_json(random_table(GENS, 3, rng()))
+        missing = obj["values"].pop(5)["word"]
+        with pytest.raises(ValueError, match=re.escape(json.dumps(missing))):
+            table_from_json(obj)
+
+    def test_json_table_rejects_undeclared_generator(self):
+        obj = table_to_json(random_table(GENS, 2, rng()))
+        obj["values"].append({"word": [["w", "zz"]], "value": {"re": 1, "im": 0}})
+        with pytest.raises(ValueError, match="zz"):
+            table_from_json(obj)
 
 
 class TestExpLog:

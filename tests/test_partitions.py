@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from multifaced.partitions import (
     Partition,
     PartitionError,
+    all_words,
     concatenate,
     empty_partition,
     enumerate_partitions,
@@ -15,6 +16,7 @@ from multifaced.partitions import (
     parse_diagram,
     partition_from_json,
     partition_to_json,
+    partitions_upto,
     set_partitions,
     singletons,
     OrderedPartition,
@@ -61,6 +63,19 @@ class TestEnumeration:
     def test_no_duplicates(self):
         parts = list(enumerate_partitions("wbbw"))
         assert len(parts) == len(set(parts))
+
+
+class TestSweep:
+    # 2^n face words times Bell(n) partitions, summed over 1..n legs.
+    @pytest.mark.parametrize("n,count", [(1, 2), (2, 10), (3, 50), (4, 290), (5, 1954)])
+    def test_triple_loop_order(self, n, count):
+        want = [p for m in range(1, n + 1) for w in all_words("wb", m) for p in enumerate_partitions(w)]
+        got = list(partitions_upto(n))
+        assert got == want and len(got) == count
+
+    def test_alphabet_and_empty(self):
+        assert list(partitions_upto(0)) == []
+        assert [str(p) for p in partitions_upto(2, ("x",))] == ["x/1", "xx/12", "xx/1|2"]
 
 
 class TestConstruction:
@@ -183,6 +198,30 @@ class TestUniteSplit:
         b2 = s.block_of(leg + 1)
         back = s.unite_blocks(b1, b2) if b1 != b2 else s
         assert back.merge_legs(leg) == p
+
+
+class TestSplitRelation:
+    def test_worked_example(self):
+        p = parse_diagram("wwbb/13|24")
+        assert p.split_sites() == [1, 3]
+        assert p.split_at(1) == (parse_diagram("wwbb/1234"), parse_diagram("wwbb/13|24"))
+        q = parse_diagram("wwwb/13|2|4")
+        assert q.split_sites() == [1, 2]
+        assert q.split_at(2) == (parse_diagram("wwwb/123|4"), parse_diagram("www/13|2"))
+
+    def test_against_definition_up_to_five_legs(self):
+        for p in partitions_upto(5):
+            sites = [i for i in range(1, p.n) if p.face(i) == p.face(i + 1) and p.block_of(i) != p.block_of(i + 1)]
+            assert p.split_sites() == sites
+            for i in sites:
+                b1, b2 = p.block_of(i), p.block_of(i + 1)
+                assert p.split_at(i) == (p.unite_blocks(b1, b2), p.restrict(b1 + b2))
+
+    @pytest.mark.parametrize("leg", [0, 1, 2, 3])
+    def test_rejects_non_sites(self, leg):
+        # legs 1, 2 share a block; legs 2, 3 differ in face; 3 and 0 are out of range
+        with pytest.raises(PartitionError):
+            parse_diagram("wwb/12|3").split_at(leg)
 
 
 class TestInnerConnected:

@@ -168,6 +168,16 @@ class TestAdmissibility:
         assert report.conditions["iv"] is not None
         assert report.first_violation[0] in ("iv", "i", "ii")
 
+    def test_constant_family_witnesses(self):
+        conds = check_admissible(ConstantBlockFamily(0.7), 4).conditions
+        assert conds["ii"] == {"witness": "ww/1|2", "detail": "value (0.7+0j)"}
+        assert conds["iv"] == {"witness": "www/1|2|3", "detail": "split at legs 1,2"}
+
+    def test_bi_interval_witnesses(self):
+        conds = check_admissible(bi_interval_family(), 4).conditions
+        assert conds["v"] == {"witness": "www/12|3", "detail": "recolor first leg to b"}
+        assert conds["vi"]["witness"] == "wwb/13|2"
+
     def test_report_json(self):
         rep = check_admissible(ClassIndicatorFamily(ClassId.I), 3)
         data = rep.to_json()
@@ -232,7 +242,7 @@ class TestSingletonInductive:
 
     def test_interval_class_not_inductive(self):
         rep = is_singleton_inductive(ClassIndicatorFamily(ClassId.I), 5)
-        assert not rep.inductive and rep.witness is not None and rep.agrees
+        assert not rep.inductive and str(rep.witness) == "www/13|2" and rep.agrees
 
     def test_equivalence_with_nu(self):
         rng = random.Random(3)
