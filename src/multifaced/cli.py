@@ -148,11 +148,27 @@ def cmd_hasse(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAILED
 
 
+def _query_word(entries: list, factors: tuple) -> tuple:
+    """The tagged word of a product query; every entry must name a factor
+    by its 1-based index and one of that factor's generators."""
+    word = []
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValueError(f"word entry {json.dumps(entry)}: not an object")
+        kappa, face, name = entry["factor"], entry["face"], entry["name"]
+        if type(kappa) is not int or not 1 <= kappa <= len(factors):
+            raise ValueError(f"word entry {json.dumps(entry)}: factor must be an integer in 1..{len(factors)}")
+        if (face, name) not in factors[kappa - 1].generators:
+            raise ValueError(f"word entry {json.dumps(entry)}: not a generator of factor {kappa}")
+        word.append((kappa, face, name))
+    return tuple(word)
+
+
 def cmd_product(args) -> int:
     query = _load_json_arg(args.query)
     family = family_from_json(query["family"])
     factors = tuple(table_from_json(t) for t in query["factors"])
-    word = tuple((w["factor"], w["face"], w["name"]) for w in query["word"])
+    word = _query_word(query["word"], factors)
     prod = Product(family, factors)
     if args.explain:
         expansion: list[dict] = []

@@ -5,10 +5,17 @@ the moment of a tagged word equals the weighted sum, over partitions whose
 blocks stay inside one factor, of the family weight of the colored partition
 times the product of the factor cumulants of the block subwords.  Blocks
 mixing factors contribute zero (cumulants of a direct sum vanish on mixed
-words), so only factor-pure partitions are enumerated.  ``Product.moment``
-is the one summation loop: given an ``expansion`` list it also records each
-partition's weight and contribution, which ``multifaced product --explain``
-prints.
+words), so only factor-pure partitions are enumerated.
+
+The sum is driven by a plan per factor pattern b (the factor index of each
+letter), shared by every ``Product`` and independent of the family and the
+faces: the nonempty subsets of each factor's positions, and the factor-pure
+partitions as indices into ``set_partitions(n)`` with the subsets that are
+their blocks.  Per word, ``Product.moment`` looks up one cumulant per subset,
+reads the weights from a row per face word, and multiplies each term
+weight first, blocks in order.  It is the one summation loop: given an
+``expansion`` list it also records each partition's weight and contribution,
+which ``multifaced product --explain`` prints.
 
 Coefficient extraction follows the linearization construction: factors carry
 the all-ones functional scaled by a formal nilpotent marker, and the product
@@ -19,6 +26,7 @@ coefficient of the block pattern.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Iterable, Sequence
 
@@ -163,38 +171,20 @@ def tagged_word_structure(word: TaggedWord) -> BlockStructure:
 # -- the product evaluator ------------------------------------------------------------
 
 
-_factor_pure_store: dict[tuple[int, ...], tuple] = {}
-
-
-def _factor_pure_partitions(b: tuple[int, ...]):
-    """All set partitions of [n] whose blocks lie inside one factor, as block
-    tuples in canonical order.  Cached per factor pattern."""
-    got = _factor_pure_store.get(b)
-    if got is not None:
-        return got
-    groups: dict[int, list[int]] = {}
-    for i, v in enumerate(b, start=1):
-        groups.setdefault(v, []).append(i)
-    position_groups = list(groups.values())
-    per_group = [set_partitions(len(g)) for g in position_groups]
-    out = []
-    for combo in itertools.product(*per_group):
-        blocks: list[tuple[int, ...]] = []
-        for legs, sub in zip(position_groups, combo):
-            blocks.extend(tuple(legs[i - 1] for i in sb) for sb in sub)
-        blocks.sort(key=lambda blk: blk[0])
-        out.append(tuple(blocks))
-    result = tuple(out)
-    _factor_pure_store[b] = result
-    return result
-
-
 class Product:
     """Evaluator for the product of factor functionals under one family.
 
-    Factor generator sets must be pairwise disjoint; cumulants are memoized
-    per factor across moment queries.
+    Factor generator sets must be pairwise disjoint.  A moment is summed
+    over the plan of its factor pattern b (see ``_plan``); the plans are
+    shared by every ``Product``.  Each instance keeps the factor cumulants,
+    one memo dict per factor, and one weight row per face word: slot j of
+    the row holds ``family.weight`` of ``set_partitions(n)[j]``, read on
+    first use, so the family is asked only for factor-pure partitions and
+    its own memo stays the one weight store.
     """
+
+    # factor pattern b -> (subsets, terms); see _plan
+    _plans: dict[tuple[int, ...], tuple] = {}
 
     def __init__(self, family: WeightFamily, factors: Sequence[FunctionalTable]):
         self.family = family
@@ -207,55 +197,92 @@ class Product:
             seen.update(t.generators)
         self._owner = {g: i + 1 for i, t in enumerate(self.factors) for g in t.generators}
         self._cum_cache: list[dict[Word, complex]] = [dict() for _ in self.factors]
+        self._weight_rows: dict[str, list] = {}
 
     def tag(self, word: Word) -> TaggedWord:
         return tuple((self._owner[g], g[0], g[1]) for g in word)
 
+    @classmethod
+    def _plan(cls, b: tuple[int, ...]) -> tuple:
+        """The summation plan of the factor pattern b, built once per b.
+
+        ``subsets`` lists every block a factor-pure partition can have, as
+        ``(factor - 1, 0-based positions)``.  ``terms`` lists the factor-pure
+        partitions in enumeration order (factor by factor through
+        ``set_partitions``, blocks sorted by first leg) as ``(j, ids)``: the
+        partition is ``set_partitions(n)[j]`` and ``ids`` index its blocks in
+        ``subsets``, in block order.
+        """
+        groups: dict[int, list[int]] = {}
+        for i, v in enumerate(b, start=1):
+            groups.setdefault(v, []).append(i)
+        position_groups = list(groups.values())
+        index = {blocks: j for j, blocks in enumerate(set_partitions(len(b)))}
+        subset_ids: dict[tuple[int, ...], int] = {}
+        subsets = []
+        terms = []
+        for combo in itertools.product(*(set_partitions(len(g)) for g in position_groups)):
+            blocks: list[tuple[int, ...]] = []
+            for legs, sub in zip(position_groups, combo):
+                blocks.extend(tuple(legs[i - 1] for i in sb) for sb in sub)
+            blocks.sort(key=lambda blk: blk[0])
+            ids = []
+            for block in blocks:
+                s = subset_ids.get(block)
+                if s is None:
+                    s = subset_ids[block] = len(subsets)
+                    subsets.append((b[block[0] - 1] - 1, tuple(leg - 1 for leg in block)))
+                ids.append(s)
+            terms.append((index[tuple(blocks)], tuple(ids)))
+        plan = cls._plans[b] = (tuple(subsets), tuple(terms))
+        return plan
+
     def moment(self, word: TaggedWord, expansion: list | None = None):
         """The product moment of a tagged word.
 
-        If ``expansion`` is a list, one row ``{"partition", "weight",
-        "contribution"}`` per factor-pure partition is appended to it, in
-        enumeration order; zero-weight rows have contribution 0.  The value
-        is then always the sum over the partitions, also on words of one
-        factor.
+        The sum runs over the factor-pure partitions of the word: the family
+        weight times the product of the factor cumulants of the blocks.
+        Terms of weight 0 are skipped.  If ``expansion`` is a list, one row
+        ``{"partition", "weight", "contribution"}`` per factor-pure partition
+        is appended to it, in enumeration order; zero-weight rows have
+        contribution 0.  The value is then always the sum over the
+        partitions, also on words of one factor.
         """
-        letters = tuple((t[1], t[2]) for t in word)
+        b, fs, names = zip(*word) if word else ((), (), ())
+        letters = tuple(zip(fs, names))
         if expansion is None:
             if not word:
                 return complex(1)
-            factors_used = {t[0] for t in word}
-            if len(factors_used) == 1:
+            if b.count(b[0]) == len(b):
                 # Restriction property: single-factor words are factor moments.
-                kappa = next(iter(factors_used))
-                return self.factors[kappa - 1].value(letters)
-        faces = "".join(t[1] for t in word)
-        b = tuple(t[0] for t in word)
-        leg = (None, *letters).__getitem__  # 1-based, like the blocks
+                return self.factors[b[0] - 1].value(letters)
+        faces = "".join(fs)
+        subsets, terms = self._plans.get(b) or self._plan(b)
         caches = self._cum_cache
-        total = 0
+        leg = letters.__getitem__
+        cv = [caches[f].get(tuple(map(leg, positions))) for f, positions in subsets]
+        if None in cv:
+            for s, (f, positions) in enumerate(subsets):
+                if cv[s] is None:
+                    cv[s] = cumulant(self.family, self.factors[f], tuple(map(leg, positions)), caches[f])
+        parts = set_partitions(len(word))
+        row = self._weight_rows.get(faces)
+        if row is None:
+            row = self._weight_rows[faces] = [None] * len(parts)
         weight = self.family.weight
-        for blocks in _factor_pure_partitions(b):
-            a = weight(faces, blocks)
+        cumulants = cv.__getitem__
+        total = 0
+        for j, ids in terms:
+            a = row[j]
+            if a is None:
+                a = row[j] = weight(faces, parts[j])
             term = 0
             if a != 0:
-                term = a
-                for block in blocks:
-                    kappa = b[block[0] - 1]
-                    sub = tuple(map(leg, block))
-                    c = caches[kappa - 1].get(sub)
-                    if c is None:
-                        c = self._cumulant(kappa, sub)
-                    term = term * c
-                    if isinstance(term, complex) and term == 0:
-                        break
+                term = math.prod(map(cumulants, ids), start=a)
                 total = term + total
             if expansion is not None:
-                expansion.append({"partition": str(Partition._unsafe(faces, blocks)), "weight": a, "contribution": term})
+                expansion.append({"partition": str(Partition._unsafe(faces, parts[j])), "weight": a, "contribution": term})
         return total
-
-    def _cumulant(self, kappa: int, word: Word):
-        return cumulant(self.family, self.factors[kappa - 1], word, self._cum_cache[kappa - 1])
 
 
 def product_moment(family: WeightFamily, factors: Sequence[FunctionalTable], word: TaggedWord):

@@ -3,6 +3,8 @@
 import json
 import random
 
+import pytest
+
 from multifaced.cli import main
 from multifaced.cumulants import random_table, table_to_json
 
@@ -223,6 +225,26 @@ class TestProduct:
         path.write_text(json.dumps(query))
         code, out, err = run(capsys, "product", "--query", str(path))
         assert code == 1 and out == "" and "malformed input" in err and json.dumps(missing) in err
+
+
+    @pytest.mark.parametrize(
+        "entry, reason",
+        [
+            ({"factor": 0, "face": "w", "name": "a1w"}, "factor must be an integer in 1..2"),
+            ({"factor": 3, "face": "w", "name": "a1w"}, "factor must be an integer in 1..2"),
+            ({"factor": 2, "face": "w", "name": "a1w"}, "not a generator of factor 2"),
+            ([1, "b", "a2b"], "not an object"),
+        ],
+        ids=["factor-0", "factor-past-last", "foreign-generator", "not-an-object"],
+    )
+    def test_malformed_word_entry_rejected(self, capsys, tmp_path, entry, reason):
+        path, _, _ = make_query(tmp_path)
+        query = json.loads(path.read_text())
+        query["word"][2] = entry
+        path.write_text(json.dumps(query))
+        code, out, err = run(capsys, "product", "--query", str(path))
+        assert code == 1 and out == ""
+        assert "malformed input" in err and json.dumps(entry) in err and reason in err
 
 
 class TestVerifyCommand:

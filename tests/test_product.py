@@ -1,19 +1,23 @@
 """The universal-product engine: moments, coefficients, inclusion-exclusion."""
 
 import cmath
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multifaced.classes import ALL_CLASSES, ClassId, class_member_set
-from multifaced.cumulants import FunctionalTable, random_table
+from multifaced.cumulants import FunctionalTable, cumulant, random_table
 from multifaced.partitions import (
     Partition,
     all_words,
     enumerate_partitions,
     meet,
     parse_diagram,
+    partitions_upto,
+    set_partitions,
 )
 from multifaced.product import (
     BlockStructure,
@@ -30,11 +34,13 @@ from multifaced.product import (
     unit_preservation_check,
     well_definedness_check,
 )
-from multifaced.weights import ClassIndicatorFamily, ConstantBlockFamily, DeformedFamily
+from multifaced.verify import stock_families
+from multifaced.weights import ClassIndicatorFamily, ConstantBlockFamily, DeformedFamily, MissingEntryError, TableFamily
 
 G1 = (("w", "a1w"), ("b", "a1b"))
 G2 = (("w", "a2w"), ("b", "a2b"))
 G3 = (("w", "a3w"), ("b", "a3b"))
+STOCK = stock_families()
 
 
 def rng():
@@ -136,8 +142,7 @@ class TestProductMoment:
         t1, t2 = random_table(G1, 4, r), random_table(G2, 4, r)
         prod = Product(fam, (t1, t2))
         word = rand_tagged_word(r, (G1, G2), 4)
-        from multifaced.partitions import set_partitions
-        from multifaced.cumulants import cumulant, direct_sum
+        from multifaced.cumulants import direct_sum
 
         ds = direct_sum(t1, t2)
         dense = FunctionalTable(
@@ -214,43 +219,103 @@ class TestProductMoment:
         ids=lambda f: f.name,
     )
     def test_expansion_rows_against_reference(self, fam):
-        # one row per factor-pure partition, summing to the value; on words
-        # of several factors the value is the plain moment, bit for bit, and
-        # matches the sum over factor-pure partitions written out here
-        from multifaced.cumulants import cumulant
-        from multifaced.partitions import set_partitions
-
+        # every word of at most 4 letters over three factors: one row per
+        # factor-pure partition, in enumeration order, summing to the value;
+        # the value equals the factor-pure sum written out here bit for bit,
+        # and so does the plain moment on words of several factors
         r = rng()
         gens = (G1, G2, G3)
-        tables = tuple(random_table(g, 5, r) for g in gens)
+        tables = tuple(random_table(g, 4, r) for g in gens)
         prod = Product(fam, tables)
+        caches = [{} for _ in tables]
+        tagged_letters = [(kappa, f, name) for kappa, g in enumerate(gens, start=1) for f, name in g]
         multi = 0
-        for _ in range(40):
-            word = rand_tagged_word(r, gens, r.randint(1, 5))
+        for n in range(1, 5):
+            for word in itertools.product(tagged_letters, repeat=n):
+                rows = []
+                value = prod.moment(word, rows)
+                faces = "".join(t[1] for t in word)
+                letters = tuple((t[1], t[2]) for t in word)
+                groups = {}
+                for i, t in enumerate(word, start=1):
+                    groups.setdefault(t[0], []).append(i)
+                pure, want = [], 0
+                for combo in itertools.product(*(set_partitions(len(g)) for g in groups.values())):
+                    blocks = sorted(
+                        (tuple(legs[i - 1] for i in sb) for legs, sub in zip(groups.values(), combo) for sb in sub),
+                        key=lambda blk: blk[0],
+                    )
+                    p = Partition(faces, blocks)
+                    pure.append(str(p))
+                    term = fam.evaluate(p)
+                    if term == 0:
+                        continue
+                    for blk in blocks:
+                        kappa = word[blk[0] - 1][0]
+                        term = term * cumulant(fam, tables[kappa - 1], tuple(letters[i - 1] for i in blk), caches[kappa - 1])
+                    want = term + want
+                assert [row["partition"] for row in rows] == pure
+                assert all(row["contribution"] == 0 for row in rows if row["weight"] == 0)
+                assert abs(sum(row["contribution"] for row in rows) - value) < 1e-12
+                assert value == want
+                if len(groups) > 1:
+                    multi += 1
+                    assert prod.moment(word) == want
+        assert multi == 1554 - 3 * 30  # 6 + 36 + 216 + 1296 words, 30 of them per factor
+
+    def test_explain_row_order(self):
+        fam = ClassIndicatorFamily(ClassId.NC)
+        r = rng()
+        prod = Product(fam, tuple(random_table(g, 5, r) for g in (G1, G2, G3)))
+
+        def word(spec):
+            return tuple((int(k), f, f"a{k}{f}") for k, f in (s.split(":") for s in spec.split()))
+
+        want = {
+            "1:w 2:b 1:b 2:w": ["wbbw/13|24", "wbbw/13|2|4", "wbbw/1|24|3", "wbbw/1|2|3|4"],
+            "2:w 1:w 1:b 2:b 1:w": [
+                "wwbbw/14|235", "wwbbw/14|23|5", "wwbbw/14|25|3", "wwbbw/14|2|35", "wwbbw/14|2|3|5",
+                "wwbbw/1|235|4", "wwbbw/1|23|4|5", "wwbbw/1|25|3|4", "wwbbw/1|2|35|4", "wwbbw/1|2|3|4|5",
+            ],
+            "1:w 3:b 2:w 1:b 3:w": ["wbwbw/14|25|3", "wbwbw/14|2|3|5", "wbwbw/1|25|3|4", "wbwbw/1|2|3|4|5"],
+        }
+        for spec, partitions in want.items():
             rows = []
-            value = prod.moment(word, rows)
-            faces = "".join(t[1] for t in word)
-            letters = tuple((t[1], t[2]) for t in word)
-            caches = [{} for _ in tables]
-            pure, want = [], 0
-            for blocks in set_partitions(len(word)):
-                if any(len({word[i - 1][0] for i in blk}) > 1 for blk in blocks):
-                    continue
-                p = Partition(faces, blocks)
-                pure.append(str(p))
-                term = fam.evaluate(p)
-                for blk in blocks:
-                    kappa = word[blk[0] - 1][0]
-                    term *= cumulant(fam, tables[kappa - 1], tuple(letters[i - 1] for i in blk), caches[kappa - 1])
-                want += term
-            assert sorted(row["partition"] for row in rows) == sorted(pure)
-            assert all(row["contribution"] == 0 for row in rows if row["weight"] == 0)
-            assert abs(sum(row["contribution"] for row in rows) - value) < 1e-12
-            assert abs(value - want) < 1e-12
-            if len({t[0] for t in word}) > 1:
-                multi += 1
-                assert value == prod.moment(word)
-        assert multi >= 20
+            prod.moment(word(spec), rows)
+            assert [row["partition"] for row in rows] == partitions
+
+    def test_family_asked_only_for_factor_pure_weights(self):
+        # a table family that lacks every partition of the word with a block
+        # across both factors still evaluates the moment: besides the word's
+        # factor-pure partitions it holds only the two-leg partitions that
+        # the cumulants of the factor subwords wb and bw read
+        stock = DeformedFamily("bifree", cmath.exp(0.4j))
+        full = TableFamily({p: stock.evaluate(p) for p in partitions_upto(4)}, 4)
+        word = ((1, "w", "a1w"), (2, "b", "a2b"), (1, "b", "a1b"), (2, "w", "a2w"))
+        pure = ["wbbw/13|24", "wbbw/13|2|4", "wbbw/1|24|3", "wbbw/1|2|3|4", "wb/1|2", "bw/1|2"]
+        sparse = TableFamily({parse_diagram(d): stock.evaluate(parse_diagram(d)) for d in pure}, 4)
+        r = rng()
+        tables = (random_table(G1, 4, r), random_table(G2, 4, r))
+        got = Product(sparse, tables).moment(word)
+        assert got == Product(full, tables).moment(word)
+        with pytest.raises(MissingEntryError):
+            sparse.evaluate(parse_diagram("wbbw/12|34"))
+
+    @given(
+        st.sampled_from(STOCK),
+        st.integers(min_value=0, max_value=2**32),
+        st.sampled_from((1, 2)),
+        st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_full_sum_restricts_to_one_factor(self, fam, seed, kappa, picks):
+        # the full sum over the partitions of a one-factor word, not the
+        # short cut, gives that factor's moment
+        r = random.Random(seed)
+        tables = (random_table(G1, 4, r), random_table(G2, 4, r))
+        letters = tuple(tables[kappa - 1].generators[i] for i in picks)
+        got = Product(fam, tables).moment(tuple((kappa, f, name) for f, name in letters), expansion=[])
+        assert abs(got - tables[kappa - 1].value(letters)) < 1e-9
 
 
 class TestWellDefinedness:
