@@ -18,7 +18,7 @@ from .classify import BudgetExceeded, Deformed, classify_pattern, closure_genera
 from .cumulants import table_from_json
 from .partitions import PartitionError, enumerate_partitions, parse_diagram
 from .product import Product, combinatorial_moment
-from .weights import BasicCoefficients, check_admissible, family_from_json
+from .weights import BasicCoefficients, check_admissible, family_from_json, json_expect
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -119,7 +119,7 @@ def cmd_closure(args) -> int:
     _warn_legs(args.max_legs)
     obj = _load_json_arg(args.generators)
     diagrams = obj["generators"] if isinstance(obj, dict) else obj
-    gens = [parse_diagram(d) for d in diagrams]
+    gens = [parse_diagram(json_expect(d, "a string", "generator")) for d in json_expect(diagrams, "a list", "generators")]
     result = sorted(closure_generate(gens, args.max_legs), key=lambda p: (p.n, str(p)))
     _emit({"max_legs": args.max_legs, "count": len(result), "partitions": [str(p) for p in result]}, args.pretty)
     return EXIT_OK
@@ -165,10 +165,10 @@ def _query_word(entries: list, factors: tuple) -> tuple:
 
 
 def cmd_product(args) -> int:
-    query = _load_json_arg(args.query)
+    query = json_expect(_load_json_arg(args.query), "an object", "product query")
     family = family_from_json(query["family"])
-    factors = tuple(table_from_json(t) for t in query["factors"])
-    word = _query_word(query["word"], factors)
+    factors = tuple(table_from_json(t) for t in json_expect(query["factors"], "a list", "factors"))
+    word = _query_word(json_expect(query["word"], "a list", "word"), factors)
     prod = Product(family, factors)
     if args.explain:
         expansion: list[dict] = []

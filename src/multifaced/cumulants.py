@@ -18,7 +18,7 @@ import random
 from typing import Callable, Iterable, Sequence
 
 from .partitions import set_partitions
-from .weights import WeightFamily
+from .weights import WeightFamily, json_complex, json_expect
 
 # A generator letter is (face, name); a word is a tuple of letters.
 Letter = tuple[str, str]
@@ -312,23 +312,31 @@ def table_from_json(obj: dict) -> FunctionalTable:
     generators up to the degree bound, or the first word of that domain
     without a value.
     """
-    generators = tuple((g["face"], g["name"]) for g in obj["generators"])
-    degree_bound = obj["degree_bound"]
-    if not isinstance(degree_bound, int):
-        raise ValueError(f"degree_bound must be an integer, got {degree_bound!r}")
+    json_expect(obj, "an object", "table")
+    generators = []
+    for g in json_expect(obj["generators"], "a list", "generators"):
+        json_expect(g, "an object", "generator")
+        generators.append((json_expect(g["face"], "a string", "generator face"), json_expect(g["name"], "a string", "generator name")))
+    degree_bound = json_expect(obj["degree_bound"], "an integer", "degree_bound")
     declared = set(generators)
     values: dict[Word, complex] = {}
-    for entry in obj["values"]:
-        word = tuple((f, name) for f, name in entry["word"])
+    for entry in json_expect(obj["values"], "a list", "table values"):
+        json_expect(entry, "an object", "table value")
+        word = tuple(_letter(g) for g in json_expect(entry["word"], "a list", "table word"))
         if not 1 <= len(word) <= degree_bound or not declared.issuperset(word):
             raise ValueError(f"word {_word_json(word)} is not over the declared generators up to degree {degree_bound}")
-        v = entry["value"]
-        values[word] = complex(v.get("re", 0.0), v.get("im", 0.0))
+        values[word] = json_complex(entry["value"], f"value of word {_word_json(word)}")
     table = FunctionalTable(generators, degree_bound, values=values)
     for word in table.words():
         if word not in values:
             raise ValueError(f"table has no value for word {_word_json(word)}")
     return table
+
+
+def _letter(g) -> Letter:
+    if not (isinstance(g, (list, tuple)) and len(g) == 2 and all(isinstance(x, str) for x in g)):
+        raise ValueError(f"a word letter must be a [face, name] pair of strings, got {json.dumps(g, default=repr)}")
+    return tuple(g)
 
 
 def _word_json(word: Word) -> str:

@@ -17,6 +17,15 @@ weight first, blocks in order.  It is the one summation loop: given an
 ``expansion`` list it also records each partition's weight and contribution,
 which ``multifaced product --explain`` prints.
 
+The inclusion-exclusion route for a 0/1 family (``combinatorial_moment``)
+is driven by a plan per (class, face word, factor partition): the number of
+coarsest refinements S of the factor partition inside the class, and one
+(sign, meet) pair per nonempty subset of S, the meet as a shared tuple of
+``set_partitions``.  Plans sit in a row per (class, face word), one slot per
+set partition of the legs.  Factor patterns that relabel each other share
+a slot, and equal plans of other slots, classes and face words are one
+object.  Per word only the factor moments of the meets' blocks are read.
+
 Coefficient extraction follows the linearization construction: factors carry
 the all-ones functional scaled by a formal nilpotent marker, and the product
 moment's coefficient on the product of all markers is the highest
@@ -32,7 +41,7 @@ from typing import Iterable, Sequence
 
 from .classes import ClassId, member
 from .classify import BudgetExceeded
-from .partitions import OrderedPartition, Partition, meet, set_partitions
+from .partitions import Blocks, OrderedPartition, Partition, meet, refinements, set_partitions
 from .cumulants import (
     FunctionalTable,
     Letter,
@@ -175,8 +184,9 @@ class Product:
     """Evaluator for the product of factor functionals under one family.
 
     Factor generator sets must be pairwise disjoint.  A moment is summed
-    over the plan of its factor pattern b (see ``_plan``); the plans are
-    shared by every ``Product``.  Each instance keeps the factor cumulants,
+    over the plan of its factor pattern b (see ``_plan``); the plans, like
+    the inclusion-exclusion plans of ``combinatorial_moment``, are class
+    attributes shared by every ``Product``.  Each instance keeps the factor cumulants,
     one memo dict per factor, and one weight row per face word: slot j of
     the row holds ``family.weight`` of ``set_partitions(n)[j]``, read on
     first use, so the family is asked only for factor-pure partitions and
@@ -185,6 +195,12 @@ class Product:
 
     # factor pattern b -> (subsets, terms); see _plan
     _plans: dict[tuple[int, ...], tuple] = {}
+    # n -> {blocks: j} with blocks == set_partitions(n)[j]; see _slots
+    _slot_index: dict[int, dict[Blocks, int]] = {}
+    # (class, faces) -> inclusion-exclusion plan per slot j; see _ie_plan
+    _ie_rows: dict[tuple[ClassId, str], list] = {}
+    # every distinct inclusion-exclusion plan, mapped to itself
+    _ie_interned: dict[tuple, tuple] = {}
 
     def __init__(self, family: WeightFamily, factors: Sequence[FunctionalTable]):
         self.family = family
@@ -203,6 +219,14 @@ class Product:
         return tuple((self._owner[g], g[0], g[1]) for g in word)
 
     @classmethod
+    def _slots(cls, n: int) -> dict[Blocks, int]:
+        """The index of each block tuple in ``set_partitions(n)``."""
+        index = cls._slot_index.get(n)
+        if index is None:
+            index = cls._slot_index[n] = {blocks: j for j, blocks in enumerate(set_partitions(n))}
+        return index
+
+    @classmethod
     def _plan(cls, b: tuple[int, ...]) -> tuple:
         """The summation plan of the factor pattern b, built once per b.
 
@@ -217,7 +241,7 @@ class Product:
         for i, v in enumerate(b, start=1):
             groups.setdefault(v, []).append(i)
         position_groups = list(groups.values())
-        index = {blocks: j for j, blocks in enumerate(set_partitions(len(b)))}
+        index = cls._slots(len(b))
         subset_ids: dict[tuple[int, ...], int] = {}
         subsets = []
         terms = []
@@ -437,8 +461,13 @@ def extract_full_coefficient(family: WeightFamily, s: BlockStructure, p: Partiti
 
 
 def coarsest_refinements_in_class(c: ClassId, p: Partition) -> list[Partition]:
-    """Maximal members of the class below p in the refinement order."""
-    candidates = [q for q in _refinements_cached(p) if member(c, q)]
+    """Maximal members of the class below p in the refinement order.
+
+    A member p is its own only maximal member: every refinement refines it.
+    """
+    if member(c, p):
+        return [p]
+    candidates = [q for q in refinements(p) if member(c, q)]
     candidates.sort(key=lambda q: q.block_count)
     out: list[Partition] = []
     for q in candidates:
@@ -447,17 +476,29 @@ def coarsest_refinements_in_class(c: ClassId, p: Partition) -> list[Partition]:
     return out
 
 
-_refinement_store: dict[Partition, tuple[Partition, ...]] = {}
+def _ie_plan(c: ClassId, faces: str, j: int, cap: int) -> tuple:
+    """The inclusion-exclusion plan of the factor partition
+    ``set_partitions(n)[j]`` on the face word, for class c.
 
-
-def _refinements_cached(p: Partition) -> tuple[Partition, ...]:
-    got = _refinement_store.get(p)
-    if got is None:
-        from .partitions import refinements
-
-        got = tuple(refinements(p))
-        _refinement_store[p] = got
-    return got
+    ``(len(S), terms)`` with S the coarsest refinements in the class and
+    ``terms`` one ``(sign, blocks)`` per nonempty subset R of S, by size
+    and then in ``itertools.combinations`` order: the sign (-1)^(|R|-1) and
+    the meet of R as the shared tuple ``set_partitions(n)[k]``.  Raises
+    ``BudgetExceeded`` before any meet is taken if S is longer than cap.
+    Equal plans are returned as one object.
+    """
+    parts = set_partitions(len(faces))
+    S = coarsest_refinements_in_class(c, Partition._unsafe(faces, parts[j]))
+    if len(S) > cap:
+        raise BudgetExceeded(f"{len(S)} coarsest refinements exceed the cap {cap}")
+    index = Product._slots(len(faces))
+    terms = tuple(
+        ((-1) ** (r - 1), parts[index[meet(subset).blocks]])
+        for r in range(1, len(S) + 1)
+        for subset in itertools.combinations(S, r)
+    )
+    plan = (len(S), terms)
+    return Product._ie_interned.setdefault(plan, plan)
 
 
 def combinatorial_moment(
@@ -470,25 +511,31 @@ def combinatorial_moment(
 
     Sums, over nonempty subsets R of the coarsest refinements S of the factor
     partition inside the class, the sign (-1)^(|R|-1) times the product of
-    factor moments over the blocks of the meet of R.
+    factor moments over the blocks of the meet of R.  The signs and meets
+    come from the plan of (class, face word, factor partition), built once.
     """
-    s = tagged_word_structure(word)
-    pi = s.factor_partition()
-    S = coarsest_refinements_in_class(c, pi)
-    if len(S) > cap:
-        raise BudgetExceeded(f"{len(S)} coarsest refinements exceed the cap {cap}")
+    groups: dict[int, list[int]] = {}
+    for i, letter in enumerate(word, start=1):
+        groups.setdefault(letter[0], []).append(i)
+    faces = "".join(letter[1] for letter in word)
+    index = Product._slots(len(word))
+    j = index[tuple(map(tuple, groups.values()))]
+    row = Product._ie_rows.get((c, faces))
+    if row is None:
+        row = Product._ie_rows[(c, faces)] = [None] * len(index)
+    plan = row[j]
+    if plan is None or plan[0] > cap:
+        # builds the plan, or raises BudgetExceeded for this call's cap
+        plan = row[j] = _ie_plan(c, faces, j, cap)
     total = complex(0)
-    for r in range(1, len(S) + 1):
-        sign = (-1) ** (r - 1)
-        for subset in itertools.combinations(S, r):
-            wedge = meet(subset)
-            term = complex(1)
-            for block in wedge.blocks:
-                # Every S member refines the factor partition, so each block
-                # of the meet lies inside one factor: a factor moment.
-                kappa = word[block[0] - 1][0]
-                term *= factors[kappa - 1].value(tuple(word[i - 1][1:] for i in block))
-            total += sign * term
+    for sign, blocks in plan[1]:
+        term = complex(1)
+        for block in blocks:
+            # Every S member refines the factor partition, so each block
+            # of the meet lies inside one factor: a factor moment.
+            kappa = word[block[0] - 1][0]
+            term *= factors[kappa - 1].value(tuple(word[i - 1][1:] for i in block))
+        total += sign * term
     return total
 
 

@@ -21,6 +21,7 @@ a miss.
 from __future__ import annotations
 
 import cmath
+import json
 import random
 from typing import Callable
 
@@ -44,6 +45,37 @@ def approx(a: complex, b: complex, eps: float = EPS) -> bool:
 def on_unit_circle_or_zero(z: complex, eps: float = EPS) -> bool:
     """True iff z is within eps of 0 or of the unit circle."""
     return abs(z) <= eps or abs(abs(z) - 1.0) <= eps
+
+
+# -- JSON shape checks ---------------------------------------------------------
+
+_JSON_KINDS = {
+    "an object": dict,
+    "a list": (list, tuple),
+    "a string": str,
+    "an integer": int,
+    "a number": (int, float),
+}
+
+
+def json_expect(value, kind: str, what: str):
+    """``value`` if it is of the JSON kind (a key of ``_JSON_KINDS``), else
+    ValueError naming ``what`` and the value."""
+    if not isinstance(value, _JSON_KINDS[kind]):
+        raise ValueError(f"{what} must be {kind}, got {json.dumps(value, default=repr)}")
+    return value
+
+
+def json_complex(value, what: str) -> complex:
+    """A complex number from a JSON number or an object with numeric ``re``
+    and ``im`` (each 0 if absent); anything else raises ValueError."""
+    if isinstance(value, dict):
+        parts = (value.get("re", 0.0), value.get("im", 0.0))
+        if all(isinstance(x, (int, float)) for x in parts):
+            return complex(*parts)
+    elif isinstance(value, (int, float, complex)):
+        return complex(value)
+    raise ValueError(f"{what} must be a number or an object with numeric re and im, got {json.dumps(value, default=repr)}")
 
 
 # -- basic coefficients --------------------------------------------------------
@@ -114,15 +146,14 @@ class BasicCoefficients:
     @classmethod
     def from_json(cls, obj: dict) -> "BasicCoefficients":
         w, b = DEFAULT_ALPHABET
+        json_expect(obj, "an object", "basic coefficients")
 
-        def dec(v) -> complex:
-            if isinstance(v, dict):
-                return complex(v.get("re", 0.0), v.get("im", 0.0))
-            return complex(v)
+        def dec(key: str) -> complex:
+            return json_complex(obj[key], key)
 
-        nu_w, nu_b = dec(obj["nu_w"]), dec(obj["nu_b"])
-        nu_wb, xi_wb = dec(obj["nu_wb"]), dec(obj["xi_wb"])
-        xi_w, xi_b = dec(obj["xi_w"]), dec(obj["xi_b"])
+        nu_w, nu_b = dec("nu_w"), dec("nu_b")
+        nu_wb, xi_wb = dec("nu_wb"), dec("xi_wb")
+        xi_w, xi_b = dec("xi_w"), dec("xi_b")
         nu = {(w, w): nu_w, (b, b): nu_b, (w, b): nu_wb, (b, w): nu_wb.conjugate()}
         xi = {(w, w): xi_w, (b, b): xi_b, (w, b): xi_wb, (b, w): xi_wb.conjugate()}
         return cls(nu, xi)
@@ -321,25 +352,23 @@ class PredicateFamily(WeightFamily):
 
 def family_from_json(obj: dict) -> WeightFamily:
     """Build a weight family from its JSON descriptor."""
-    kind = obj.get("kind")
+    kind = json_expect(obj, "an object", "weight family").get("kind")
     if kind == "class":
         return ClassIndicatorFamily(ClassId(obj["class"]))
     if kind == "deformed":
         z = obj["zeta"]
-        if isinstance(z, dict):
-            if "angle" in z:
-                zeta = cmath.exp(1j * z["angle"])
-            else:
-                zeta = complex(z.get("re", 0.0), z.get("im", 0.0))
+        if isinstance(z, dict) and "angle" in z:
+            zeta = cmath.exp(1j * json_expect(z["angle"], "a number", "zeta angle"))
         else:
-            zeta = complex(z)
+            zeta = json_complex(z, "zeta")
         return DeformedFamily(obj["base"], zeta)
     if kind == "table":
-        entries = {
-            parse_diagram(e["partition"]): complex(e["value"].get("re", 0.0), e["value"].get("im", 0.0))
-            for e in obj["entries"]
-        }
-        return TableFamily(entries, obj["max_legs"])
+        entries = {}
+        for e in json_expect(obj["entries"], "a list", "table entries"):
+            json_expect(e, "an object", "table entry")
+            p = parse_diagram(json_expect(e["partition"], "a string", "table entry partition"))
+            entries[p] = json_complex(e["value"], f"value of {p}")
+        return TableFamily(entries, json_expect(obj["max_legs"], "an integer", "max_legs"))
     raise ValueError(f"unknown weight family kind {kind!r}")
 
 

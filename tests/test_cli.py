@@ -88,6 +88,10 @@ class TestCheckAdmissible:
         code, _, err = run(capsys, "check-admissible", "--family", json.dumps(fam), "--max-legs", "4")
         assert code == 1
 
+    def test_wrong_shape_rejected(self, capsys):
+        code, out, err = run(capsys, "check-admissible", "--family", "[1]")
+        assert code == 1 and out == "" and "malformed input: weight family must be an object, got [1]" in err
+
     def test_nan_zeta_rejected(self, capsys):
         fam = '{"kind": "deformed", "base": "tensor", "zeta": {"re": NaN, "im": 0}}'
         code, out, err = run(capsys, "check-admissible", "--family", fam, "--max-legs", "3")
@@ -103,6 +107,10 @@ class TestClosure:
         assert code == 0
         # interval partitions with <= 3 legs over two faces: 2 + 8 + 32
         assert data["count"] == 42
+
+    def test_wrong_shape_rejected(self, capsys):
+        code, out, err = run(capsys, "closure", "--generators", '{"generators": [1]}')
+        assert code == 1 and out == "" and "malformed input: generator must be a string, got 1" in err
 
 
 class TestClassify:
@@ -149,6 +157,11 @@ class TestClassify:
         basic = '{"nu_w":1%s,"nu_b":1,"nu_wb":0,"xi_w":0,"xi_b":0,"xi_wb":1}' % ("0" * 400)
         code, out, err = run(capsys, "classify", "--basic", basic)
         assert code == 1 and out == "" and "malformed input" in err
+
+
+    def test_wrong_shape_rejected(self, capsys):
+        code, out, err = run(capsys, "classify", "--basic", "[1]")
+        assert code == 1 and out == "" and "malformed input: basic coefficients must be an object, got [1]" in err
 
 
 class TestHasse:
@@ -209,6 +222,18 @@ class TestProduct:
         path.write_text('{"nope": 1}')
         code, _, err = run(capsys, "product", "--query", str(path))
         assert code == 1
+
+    def test_wrong_shape_query_rejected(self, capsys):
+        code, out, err = run(capsys, "product", "--query", "[1]")
+        assert code == 1 and out == "" and "malformed input: product query must be an object, got [1]" in err
+
+    def test_wrong_shape_factor_rejected(self, capsys, tmp_path):
+        path, _, _ = make_query(tmp_path)
+        query = json.loads(path.read_text())
+        query["factors"] = [[1]]
+        path.write_text(json.dumps(query))
+        code, out, err = run(capsys, "product", "--query", str(path))
+        assert code == 1 and out == "" and "malformed input: table must be an object, got [1]" in err
 
     def test_infinite_table_value_rejected(self, capsys, tmp_path):
         path, _, _ = make_query(tmp_path)

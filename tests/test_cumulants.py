@@ -7,6 +7,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multifaced.classes import ClassId
 from multifaced.cumulants import (
@@ -24,6 +25,7 @@ from multifaced.cumulants import (
     table_to_json,
     unit_extended_table,
 )
+from multifaced.verify import stock_families
 from multifaced.weights import ClassIndicatorFamily, DeformedFamily
 
 FAMS = [
@@ -108,6 +110,20 @@ class TestExpLog:
             for w in t.words():
                 assert abs(there.value(w) - t.value(w)) < 1e-9
                 assert abs(back.value(w) - t.value(w)) < 1e-9
+
+    @given(
+        st.sampled_from(stock_families()),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_exp_log_inverse(self, fam, seed, degree):
+        t = random_table(GENS, degree, random.Random(seed))
+        there = exp_alpha(fam, log_alpha(fam, t))
+        back = log_alpha(fam, exp_alpha(fam, t))
+        for w in t.words():
+            assert abs(there.value(w) - t.value(w)) <= 1e-9
+            assert abs(back.value(w) - t.value(w)) <= 1e-9
 
     def test_single_face_word_moment(self):
         # one generator per face: m_w = c_w at degree one

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multifaced.classes import ALL_CLASSES, ClassId, class_member_set
+from multifaced.classes import ALL_CLASSES, ClassId, class_member_set, member
 from multifaced.cumulants import FunctionalTable, cumulant, random_table
 from multifaced.partitions import (
     Partition,
@@ -17,6 +17,7 @@ from multifaced.partitions import (
     meet,
     parse_diagram,
     partitions_upto,
+    refinements,
     set_partitions,
 )
 from multifaced.product import (
@@ -525,8 +526,61 @@ class TestCombinatorialMoment:
             (1, "w", "a1w"),
             (2, "b", "a2b"),
         )
-        with pytest.raises(BudgetExceeded):
+        # the default cap builds the plan; the cap of each later call still holds
+        value = combinatorial_moment(ClassId.NCwAb, (t1, t2), word)
+        with pytest.raises(BudgetExceeded, match="^2 coarsest refinements exceed the cap 1$"):
             combinatorial_moment(ClassId.NCwAb, (t1, t2), word, cap=1)
+        assert combinatorial_moment(ClassId.NCwAb, (t1, t2), word) == value
+        # a factor partition inside the class is its own only refinement
+        inside = ((1, "w", "a1w"), (1, "b", "a1b"), (2, "w", "a2w"))
+        want = t1.value((("w", "a1w"), ("b", "a1b"))) * t2.value((("w", "a2w"),))
+        assert abs(combinatorial_moment(ClassId.NC, (t1, t2), inside, cap=1) - want) < 1e-12
+
+    @staticmethod
+    def _reference_coarsest(c, p):
+        # maximal members below p, written out: refinements filtered by
+        # membership, sorted by block count, each kept unless it refines
+        # one already kept
+        candidates = sorted((q for q in refinements(p) if member(c, q)), key=lambda q: q.block_count)
+        out = []
+        for q in candidates:
+            if not any(q.refines(r) for r in out):
+                out.append(q)
+        return out
+
+    @classmethod
+    def _reference_moment(cls, c, factors, word):
+        # the inclusion-exclusion sum with every refinement and meet rebuilt
+        S = cls._reference_coarsest(c, tagged_word_structure(word).factor_partition())
+        total = complex(0)
+        for r in range(1, len(S) + 1):
+            sign = (-1) ** (r - 1)
+            for subset in itertools.combinations(S, r):
+                term = complex(1)
+                for block in meet(subset).blocks:
+                    kappa = word[block[0] - 1][0]
+                    term *= factors[kappa - 1].value(tuple(word[i - 1][1:] for i in block))
+                total += sign * term
+        return total
+
+    @pytest.mark.parametrize("c", ALL_CLASSES, ids=lambda c: c.value)
+    def test_equals_reference_route(self, c):
+        r = rng()
+        tables = (random_table(G1, 4, r), random_table(G2, 4, r), random_table(G3, 4, r))
+        letters = [(kappa, f, name) for kappa, gens in enumerate((G1, G2, G3), start=1) for f, name in gens]
+        words = [()] + [w for n in range(1, 5) for w in itertools.product(letters, repeat=n)]
+        for word in words:
+            assert combinatorial_moment(c, tables, word) == self._reference_moment(c, tables, word), word
+
+    @pytest.mark.parametrize("c", ALL_CLASSES, ids=lambda c: c.value)
+    def test_coarsest_refinements_are_the_maximal_members(self, c):
+        # up to 4 legs the greedy pass gives these lists even unsorted;
+        # 5 legs tells the two apart
+        for p in partitions_upto(5):
+            members = [q for q in refinements(p) if member(c, q)]
+            maximal = [q for q in members if not any(q != m and q.refines(m) for m in members)]
+            maximal.sort(key=lambda q: q.block_count)
+            assert coarsest_refinements_in_class(c, p) == maximal, p
 
 
 class TestUnitPreservation:
