@@ -8,16 +8,25 @@ set, up to a degree bound.  For monic weights the weighted exponential
 
 is a bijection on tables; its inverse (the cumulant transform) is computed
 by the triangular recursion in the word length.
+
+Both sums run on ``partitions.pure_plan((1,) * n)``, the plan the product
+engine uses for a word of one factor: one value per nonempty subset of the
+word's positions, read once, and each partition as ``(j, ids)``, its index
+in ``set_partitions(n)`` and the ids of its blocks among the subsets.  A
+term is the weight times the block values, multiplied weight first and in
+block order, as in ``Product.moment``.  ``exp_alpha``, ``cumulant`` and
+the product thus share one plan type.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from typing import Callable, Iterable, Sequence
 
-from .partitions import set_partitions
+from .partitions import pure_plan, set_partitions
 from .weights import WeightFamily, json_complex, json_expect
 
 # A generator letter is (face, name); a word is a tuple of letters.
@@ -98,17 +107,19 @@ def standard_generators(faces: Sequence[str] = ("w", "b"), per_face: int = 1, pr
 def exp_alpha(family: WeightFamily, psi: FunctionalTable) -> FunctionalTable:
     """The weighted exponential: moments from cumulants, densely."""
     values: dict[Word, complex] = {}
+    weight = family.weight
     for word in psi.words():
+        n = len(word)
         faces = faces_of(word)
+        parts = set_partitions(n)
+        subsets, terms = pure_plan((1,) * n)
+        leg = word.__getitem__
+        cumulants = [psi.value(tuple(map(leg, positions))) for _, positions in subsets]
         total = 0
-        for blocks in set_partitions(len(word)):
-            a = family.weight(faces, blocks)
-            if a == 0:
-                continue
-            term = a
-            for b in blocks:
-                term *= psi.value(psi.restricted(word, b))
-            total += term
+        for j, ids in terms:
+            a = weight(faces, parts[j])
+            if a != 0:
+                total += math.prod(map(cumulants.__getitem__, ids), start=a)
         values[word] = total
     return FunctionalTable(psi.generators, psi.degree_bound, values=values)
 
@@ -122,16 +133,16 @@ def cumulant(family: WeightFamily, table: FunctionalTable, word: Word, cache: di
     n = len(word)
     if n > 1:
         faces = faces_of(word)
-        for blocks in set_partitions(n):
-            if len(blocks) == 1:
-                continue
-            a = family.weight(faces, blocks)
-            if a == 0:
-                continue
-            term = a
-            for b in blocks:
-                term *= cumulant(family, table, table.restricted(word, b), cache)
-            value = value - term
+        parts = set_partitions(n)
+        subsets, terms = pure_plan((1,) * n)
+        leg = word.__getitem__
+        # subsets[0] is the whole word, a block of terms[0] only: the
+        # one-block partition, whose cumulant is the unknown solved for.
+        cumulants = [None] + [cumulant(family, table, tuple(map(leg, positions)), cache) for _, positions in subsets[1:]]
+        for j, ids in terms[1:]:
+            a = family.weight(faces, parts[j])
+            if a != 0:
+                value = value - math.prod(map(cumulants.__getitem__, ids), start=a)
     cache[word] = value
     return value
 

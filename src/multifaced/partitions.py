@@ -431,6 +431,52 @@ def set_partitions(n: int) -> tuple[Blocks, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def partition_index(n: int) -> dict[Blocks, int]:
+    """The index j of each block tuple in ``set_partitions(n)``."""
+    return {blocks: j for j, blocks in enumerate(set_partitions(n))}
+
+
+@lru_cache(maxsize=None)
+def pure_plan(b: tuple[int, ...]) -> tuple:
+    """The summation plan of the factor pattern b (the factor of each leg).
+
+    A partition is factor-pure if each of its blocks lies inside one
+    factor.  ``subsets`` lists every block such a partition can have, as
+    ``(factor - 1, 0-based positions)``.  ``terms`` lists the factor-pure
+    partitions in enumeration order (factor by factor through
+    ``set_partitions``, blocks sorted by first leg) as ``(j, ids)``: the
+    partition is ``set_partitions(n)[j]`` and ``ids`` index its blocks in
+    ``subsets``, in block order.
+
+    For one factor, ``b = (1,) * n``, the terms are all of
+    ``set_partitions(n)`` in order; ``terms[0]`` is the one-block partition
+    and ``subsets[0]`` its block, the whole word.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, v in enumerate(b, start=1):
+        groups.setdefault(v, []).append(i)
+    position_groups = list(groups.values())
+    index = partition_index(len(b))
+    subset_ids: dict[Block, int] = {}
+    subsets = []
+    terms = []
+    for combo in itertools.product(*(set_partitions(len(g)) for g in position_groups)):
+        blocks: list[Block] = []
+        for legs, sub in zip(position_groups, combo):
+            blocks.extend(tuple(legs[i - 1] for i in sb) for sb in sub)
+        blocks.sort(key=lambda blk: blk[0])
+        ids = []
+        for block in blocks:
+            s = subset_ids.get(block)
+            if s is None:
+                s = subset_ids[block] = len(subsets)
+                subsets.append((b[block[0] - 1] - 1, tuple(leg - 1 for leg in block)))
+            ids.append(s)
+        terms.append((index[tuple(blocks)], tuple(ids)))
+    return tuple(subsets), tuple(terms)
+
+
 def enumerate_partitions(word: str) -> Iterator[Partition]:
     """Yield every partition of [1..len(word)] exactly once, canonically ordered."""
     for blocks in set_partitions(len(word)):

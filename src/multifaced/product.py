@@ -7,11 +7,13 @@ times the product of the factor cumulants of the block subwords.  Blocks
 mixing factors contribute zero (cumulants of a direct sum vanish on mixed
 words), so only factor-pure partitions are enumerated.
 
-The sum is driven by a plan per factor pattern b (the factor index of each
-letter), shared by every ``Product`` and independent of the family and the
-faces: the nonempty subsets of each factor's positions, and the factor-pure
-partitions as indices into ``set_partitions(n)`` with the subsets that are
-their blocks.  Per word, ``Product.moment`` looks up one cumulant per subset,
+The sum is driven by ``partitions.pure_plan(b)``, the plan of the factor
+pattern b (the factor index of each letter), independent of the family and
+the faces: the nonempty subsets of each factor's positions, and the
+factor-pure partitions as indices into ``set_partitions(n)`` with the
+subsets that are their blocks.  ``exp_alpha`` and ``cumulant`` read the
+one-factor plan ``pure_plan((1,) * n)``, so the three transforms share one
+plan type.  Per word, ``Product.moment`` looks up one cumulant per subset,
 reads the weights from a row per face word, and multiplies each term
 weight first, blocks in order.  It is the one summation loop: given an
 ``expansion`` list it also records each partition's weight and contribution,
@@ -22,9 +24,10 @@ is driven by a plan per (class, face word, factor partition): the number of
 coarsest refinements S of the factor partition inside the class, and one
 (sign, meet) pair per nonempty subset of S, the meet as a shared tuple of
 ``set_partitions``.  Plans sit in a row per (class, face word), one slot per
-set partition of the legs.  Factor patterns that relabel each other share
-a slot, and equal plans of other slots, classes and face words are one
-object.  Per word only the factor moments of the meets' blocks are read.
+set partition of the legs (``partitions.partition_index``).  Factor
+patterns that relabel each other share a slot, and equal plans of other
+slots, classes and face words are one object.  Per word only the factor
+moments of the meets' blocks are read.
 
 Coefficient extraction follows the linearization construction: factors carry
 the all-ones functional scaled by a formal nilpotent marker, and the product
@@ -41,12 +44,13 @@ from typing import Iterable, Sequence
 
 from .classes import ClassId, member
 from .classify import BudgetExceeded
-from .partitions import Blocks, OrderedPartition, Partition, meet, refinements, set_partitions
+from .partitions import OrderedPartition, Partition, meet, partition_index, pure_plan, refinements, set_partitions
 from .cumulants import (
     FunctionalTable,
     Letter,
     Word,
     cumulant,
+    merged_letter_table,
     random_table,
     standard_generators,
     unit_extended_table,
@@ -184,23 +188,13 @@ class Product:
     """Evaluator for the product of factor functionals under one family.
 
     Factor generator sets must be pairwise disjoint.  A moment is summed
-    over the plan of its factor pattern b (see ``_plan``); the plans, like
-    the inclusion-exclusion plans of ``combinatorial_moment``, are class
-    attributes shared by every ``Product``.  Each instance keeps the factor cumulants,
+    over ``pure_plan(b)``, the plan of its factor pattern b, shared with
+    every other ``Product``.  Each instance keeps the factor cumulants,
     one memo dict per factor, and one weight row per face word: slot j of
     the row holds ``family.weight`` of ``set_partitions(n)[j]``, read on
     first use, so the family is asked only for factor-pure partitions and
     its own memo stays the one weight store.
     """
-
-    # factor pattern b -> (subsets, terms); see _plan
-    _plans: dict[tuple[int, ...], tuple] = {}
-    # n -> {blocks: j} with blocks == set_partitions(n)[j]; see _slots
-    _slot_index: dict[int, dict[Blocks, int]] = {}
-    # (class, faces) -> inclusion-exclusion plan per slot j; see _ie_plan
-    _ie_rows: dict[tuple[ClassId, str], list] = {}
-    # every distinct inclusion-exclusion plan, mapped to itself
-    _ie_interned: dict[tuple, tuple] = {}
 
     def __init__(self, family: WeightFamily, factors: Sequence[FunctionalTable]):
         self.family = family
@@ -217,49 +211,6 @@ class Product:
 
     def tag(self, word: Word) -> TaggedWord:
         return tuple((self._owner[g], g[0], g[1]) for g in word)
-
-    @classmethod
-    def _slots(cls, n: int) -> dict[Blocks, int]:
-        """The index of each block tuple in ``set_partitions(n)``."""
-        index = cls._slot_index.get(n)
-        if index is None:
-            index = cls._slot_index[n] = {blocks: j for j, blocks in enumerate(set_partitions(n))}
-        return index
-
-    @classmethod
-    def _plan(cls, b: tuple[int, ...]) -> tuple:
-        """The summation plan of the factor pattern b, built once per b.
-
-        ``subsets`` lists every block a factor-pure partition can have, as
-        ``(factor - 1, 0-based positions)``.  ``terms`` lists the factor-pure
-        partitions in enumeration order (factor by factor through
-        ``set_partitions``, blocks sorted by first leg) as ``(j, ids)``: the
-        partition is ``set_partitions(n)[j]`` and ``ids`` index its blocks in
-        ``subsets``, in block order.
-        """
-        groups: dict[int, list[int]] = {}
-        for i, v in enumerate(b, start=1):
-            groups.setdefault(v, []).append(i)
-        position_groups = list(groups.values())
-        index = cls._slots(len(b))
-        subset_ids: dict[tuple[int, ...], int] = {}
-        subsets = []
-        terms = []
-        for combo in itertools.product(*(set_partitions(len(g)) for g in position_groups)):
-            blocks: list[tuple[int, ...]] = []
-            for legs, sub in zip(position_groups, combo):
-                blocks.extend(tuple(legs[i - 1] for i in sb) for sb in sub)
-            blocks.sort(key=lambda blk: blk[0])
-            ids = []
-            for block in blocks:
-                s = subset_ids.get(block)
-                if s is None:
-                    s = subset_ids[block] = len(subsets)
-                    subsets.append((b[block[0] - 1] - 1, tuple(leg - 1 for leg in block)))
-                ids.append(s)
-            terms.append((index[tuple(blocks)], tuple(ids)))
-        plan = cls._plans[b] = (tuple(subsets), tuple(terms))
-        return plan
 
     def moment(self, word: TaggedWord, expansion: list | None = None):
         """The product moment of a tagged word.
@@ -281,7 +232,7 @@ class Product:
                 # Restriction property: single-factor words are factor moments.
                 return self.factors[b[0] - 1].value(letters)
         faces = "".join(fs)
-        subsets, terms = self._plans.get(b) or self._plan(b)
+        subsets, terms = pure_plan(b)
         caches = self._cum_cache
         leg = letters.__getitem__
         cv = [caches[f].get(tuple(map(leg, positions))) for f, positions in subsets]
@@ -350,8 +301,6 @@ def well_definedness_check(
         raise ValueError("positions must carry the same face")
     kappa, face = f1[0], f1[1]
     merged: Letter = (face, f"({f1[2]}*{f2[2]})")
-    from .cumulants import merged_letter_table
-
     ext = list(factors)
     ext[kappa - 1] = merged_letter_table(factors[kappa - 1], merged, ((f1[1], f1[2]), (f2[1], f2[2])))
     lhs = Product(family, factors).moment(word)
@@ -476,6 +425,12 @@ def coarsest_refinements_in_class(c: ClassId, p: Partition) -> list[Partition]:
     return out
 
 
+# (class, faces) -> inclusion-exclusion plan per slot j; see _ie_plan
+_ie_rows: dict[tuple[ClassId, str], list] = {}
+# every distinct inclusion-exclusion plan, mapped to itself
+_ie_interned: dict[tuple, tuple] = {}
+
+
 def _ie_plan(c: ClassId, faces: str, j: int, cap: int) -> tuple:
     """The inclusion-exclusion plan of the factor partition
     ``set_partitions(n)[j]`` on the face word, for class c.
@@ -491,14 +446,14 @@ def _ie_plan(c: ClassId, faces: str, j: int, cap: int) -> tuple:
     S = coarsest_refinements_in_class(c, Partition._unsafe(faces, parts[j]))
     if len(S) > cap:
         raise BudgetExceeded(f"{len(S)} coarsest refinements exceed the cap {cap}")
-    index = Product._slots(len(faces))
+    index = partition_index(len(faces))
     terms = tuple(
         ((-1) ** (r - 1), parts[index[meet(subset).blocks]])
         for r in range(1, len(S) + 1)
         for subset in itertools.combinations(S, r)
     )
     plan = (len(S), terms)
-    return Product._ie_interned.setdefault(plan, plan)
+    return _ie_interned.setdefault(plan, plan)
 
 
 def combinatorial_moment(
@@ -518,11 +473,11 @@ def combinatorial_moment(
     for i, letter in enumerate(word, start=1):
         groups.setdefault(letter[0], []).append(i)
     faces = "".join(letter[1] for letter in word)
-    index = Product._slots(len(word))
+    index = partition_index(len(word))
     j = index[tuple(map(tuple, groups.values()))]
-    row = Product._ie_rows.get((c, faces))
+    row = _ie_rows.get((c, faces))
     if row is None:
-        row = Product._ie_rows[(c, faces)] = [None] * len(index)
+        row = _ie_rows[(c, faces)] = [None] * len(index)
     plan = row[j]
     if plan is None or plan[0] > cap:
         # builds the plan, or raises BudgetExceeded for this call's cap

@@ -8,6 +8,7 @@ criteria for the command line; the test suite asserts on the same reports.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 import time
@@ -273,7 +274,7 @@ def criterion_combinatorial(seed: int = 0, max_factors: int = 3, max_legs: int =
             {f: next(g for g in t.generators if g[0] == f) for f in ("w", "b")} for t in tables
         ]
         for n in range(1, max_legs + 1):
-            for bpat in _tuples(max_factors, n):
+            for bpat in itertools.product(range(1, max_factors + 1), repeat=n):
                 for fpat in all_words("wb", n):
                     word = tuple(
                         (b, f, by_face[b - 1][f][1]) for b, f in zip(bpat, fpat)
@@ -309,15 +310,6 @@ def criterion_combinatorial(seed: int = 0, max_factors: int = 3, max_legs: int =
         example_error=example_err,
         example_coarsest_refinements=example_S,
     )
-
-
-def _tuples(k: int, n: int):
-    if n == 0:
-        yield ()
-        return
-    for rest in _tuples(k, n - 1):
-        for v in range(1, k + 1):
-            yield rest + (v,)
 
 
 def criterion_product_cumulants(seed: int = 0, tables_per_family: int = 100, max_len: int = 5) -> dict:

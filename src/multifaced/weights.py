@@ -25,7 +25,7 @@ import json
 import random
 from typing import Callable
 
-from .classes import ALL_CLASSES, ClassId, member
+from .classes import ClassId, member
 from .partitions import (
     DEFAULT_ALPHABET,
     Blocks,
@@ -592,16 +592,6 @@ def is_singleton_inductive(family: WeightFamily, max_legs: int, eps: float = EPS
 
 
 # -- concrete stock families -------------------------------------------------------
-
-
-def class_family(c: ClassId | str) -> ClassIndicatorFamily:
-    if isinstance(c, str):
-        c = ClassId(c)
-    return ClassIndicatorFamily(c)
-
-
-def all_class_families() -> list[ClassIndicatorFamily]:
-    return [ClassIndicatorFamily(c) for c in ALL_CLASSES]
 
 
 def bi_interval_family() -> PredicateFamily:

@@ -5,6 +5,8 @@ Each test runs one criterion end to end and prints a PASS/FAIL line
 The same reports back the ``multifaced verify`` command.
 """
 
+import pytest
+
 from multifaced import verify
 
 
@@ -20,6 +22,7 @@ def test_criterion_1_classification_count():
     _check(verify.criterion_classification_count())
 
 
+@pytest.mark.slow
 def test_criterion_2_admissibility():
     # all class indicators and deformations pass the six conditions at six
     # legs; the mirror-asymmetric control fails condition (vi)
@@ -37,12 +40,14 @@ def test_criterion_4_example_moment():
     _check(verify.criterion_example_moment(seed=0))
 
 
+@pytest.mark.slow
 def test_criterion_5_reconstruction():
     # well-definedness, associativity, symmetry, exact restriction, and
     # coefficient extraction against evaluation, twenty table sets per family
     _check(verify.criterion_reconstruction(seed=0, trials=20, max_len=5))
 
 
+@pytest.mark.slow
 def test_criterion_6_combinatorial():
     # inclusion-exclusion equals the cumulant route on every block structure
     # with at most three factors and six legs, plus the three-term display
@@ -60,6 +65,7 @@ def test_criterion_8_units():
     _check(verify.criterion_units(seed=0))
 
 
+@pytest.mark.slow
 def test_criterion_9_roundtrip():
     # exp/log round trips on one hundred tables per family, and the ordered
     # form of the moment-cumulant relation up to four letters

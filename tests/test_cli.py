@@ -273,6 +273,7 @@ class TestProduct:
 
 
 class TestVerifyCommand:
+    @pytest.mark.slow
     def test_classification_suite(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "classification", "--seed", "1")
         assert code == 0

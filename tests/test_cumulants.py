@@ -13,8 +13,10 @@ from multifaced.classes import ClassId
 from multifaced.cumulants import (
     FunctionalTable,
     MissingMomentError,
+    cumulant,
     direct_sum,
     exp_alpha,
+    faces_of,
     product_letter_cumulant_check,
     log_alpha,
     moment_via_ordered_relation,
@@ -25,6 +27,7 @@ from multifaced.cumulants import (
     table_to_json,
     unit_extended_table,
 )
+from multifaced.partitions import set_partitions
 from multifaced.verify import stock_families
 from multifaced.weights import ClassIndicatorFamily, DeformedFamily
 
@@ -140,6 +143,59 @@ class TestExpLog:
         gw = GENS[0]
         gb = GENS[1]
         assert abs(m.value((gw, gb)) - (t.value((gw, gb)) + t.value((gw,)) * t.value((gb,)))) < 1e-12
+
+
+# The transforms as one loop over set_partitions(n) per word, with one
+# subword per block of every partition: the reference the plan-driven
+# exp_alpha and cumulant must match exactly.
+def reference_exp(fam, psi):
+    values = {}
+    for word in psi.words():
+        faces = faces_of(word)
+        total = 0
+        for blocks in set_partitions(len(word)):
+            a = fam.weight(faces, blocks)
+            if a == 0:
+                continue
+            term = a
+            for b in blocks:
+                term *= psi.value(tuple(word[i - 1] for i in b))
+            total += term
+        values[word] = total
+    return values
+
+
+def reference_cumulant(fam, table, word, cache):
+    got = cache.get(word)
+    if got is not None:
+        return got
+    value = table.value(word)
+    faces = faces_of(word)
+    for blocks in set_partitions(len(word)):
+        if len(blocks) == 1:
+            continue
+        a = fam.weight(faces, blocks)
+        if a == 0:
+            continue
+        term = a
+        for b in blocks:
+            term *= reference_cumulant(fam, table, tuple(word[i - 1] for i in b), cache)
+        value = value - term
+    cache[word] = value
+    return value
+
+
+class TestAgainstPartitionLoop:
+    @pytest.mark.parametrize("fam", stock_families(), ids=lambda f: f.name)
+    def test_exp_and_cumulant_equal_reference(self, fam):
+        r = random.Random(fam.name)
+        for per_face, degree in ((1, 5), (2, 4), (2, 3)):
+            t = random_table(standard_generators(per_face=per_face), degree, r)
+            assert exp_alpha(fam, t).values == reference_exp(fam, t)
+            cache, ref_cache = {}, {}
+            for w in t.words():
+                assert cumulant(fam, t, w, cache) == reference_cumulant(fam, t, w, ref_cache)
+            assert log_alpha(fam, t).values == ref_cache
 
 
 class TestOrderedForm:

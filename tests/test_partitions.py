@@ -1,5 +1,7 @@
 """Core partition operations against worked examples and counted oracles."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +19,7 @@ from multifaced.partitions import (
     partition_from_json,
     partition_to_json,
     partitions_upto,
+    pure_plan,
     set_partitions,
     singletons,
     OrderedPartition,
@@ -63,6 +66,28 @@ class TestEnumeration:
     def test_no_duplicates(self):
         parts = list(enumerate_partitions("wbbw"))
         assert len(parts) == len(set(parts))
+
+
+class TestPurePlan:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_terms_are_the_factor_pure_partitions(self, n):
+        parts = set_partitions(n)
+        for b in itertools.product(range(1, 4), repeat=n):
+            subsets, terms = pure_plan(b)
+            pure = [j for j, blocks in enumerate(parts) if all(len({b[leg - 1] for leg in blk}) == 1 for blk in blocks)]
+            assert sorted(j for j, _ in terms) == pure
+            assert len(set(subsets)) == len(subsets)
+            for j, ids in terms:
+                assert tuple(tuple(i + 1 for i in subsets[s][1]) for s in ids) == parts[j]
+                assert all(subsets[s][0] == b[subsets[s][1][0]] - 1 for s in ids)
+
+    @pytest.mark.parametrize("n,bell", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)])
+    def test_one_factor_plan_is_every_partition(self, n, bell):
+        subsets, terms = pure_plan((1,) * n)
+        assert len(subsets) == 2**n - 1
+        assert [j for j, _ in terms] == list(range(bell))
+        # cumulant skips terms[0]: the one-block partition, whose block is subsets[0]
+        assert terms[0] == (0, (0,)) and subsets[0] == (0, tuple(range(n)))
 
 
 class TestSweep:
