@@ -3,7 +3,6 @@ universal products they generate."""
 
 from .partitions import (
     DEFAULT_ALPHABET,
-    OrderedPartition,
     Partition,
     PartitionError,
     all_words,
@@ -37,7 +36,6 @@ from .weights import (
     evaluate_randomized,
     family_from_json,
     is_singleton_inductive,
-    on_unit_circle_or_zero,
 )
 from .classify import (
     Deformed,

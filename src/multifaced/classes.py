@@ -1,9 +1,9 @@
 """The twelve two-faced partition classes and their membership predicates.
 
 Each class is a set of two-faced partitions given by a quantified condition
-on legs and blocks (crossings, inner legs, leg faces).  The face alphabet is
-fixed to ``('w', 'b')`` here; everything else in the package is alphabet
-agnostic.
+on legs and blocks (crossings, inner legs, leg faces).  The faces are
+``w`` and ``b``, as in the weight and classification layers; only the
+partition layer works over other alphabets.
 """
 
 from __future__ import annotations
@@ -159,7 +159,6 @@ def member(c: ClassId, p: Partition) -> bool:
     return _PREDICATES[c](p)
 
 
-@lru_cache(maxsize=None)
 def class_member_set(c: ClassId, max_legs: int) -> frozenset[Partition]:
     """All members of class c with at most max_legs legs (all colorings)."""
     return frozenset(p for p in partitions_upto(max_legs) if member(c, p))

@@ -24,8 +24,6 @@ from .partitions import (
 )
 from .weights import EPS, BasicCoefficients, approx, basic_diagrams, check_basic_relations
 
-W, B = DEFAULT_ALPHABET
-
 
 class BudgetExceeded(RuntimeError):
     """A bounded search ran past its configured cap."""
@@ -60,13 +58,6 @@ class Deformed:
     zeta: complex
 
 
-def _pattern_bc(pattern: Sequence[int]) -> BasicCoefficients:
-    nu_w, nu_b, nu_wb, xi_w, xi_b, xi_wb = (complex(v) for v in pattern)
-    nu = {(W, W): nu_w, (B, B): nu_b, (W, B): nu_wb, (B, W): nu_wb.conjugate()}
-    xi = {(W, W): xi_w, (B, B): xi_b, (W, B): xi_wb, (B, W): xi_wb.conjugate()}
-    return BasicCoefficients(nu, xi)
-
-
 def enumerate_admissible_patterns() -> list[tuple[tuple[int, ...], ClassId]]:
     """All 0/1 basic-coefficient patterns surviving the coefficient relations.
 
@@ -77,7 +68,7 @@ def enumerate_admissible_patterns() -> list[tuple[tuple[int, ...], ClassId]]:
     out: list[tuple[tuple[int, ...], ClassId]] = []
     for bits in range(64):
         pattern = tuple((bits >> i) & 1 for i in range(6))
-        ok, _ = check_basic_relations(_pattern_bc(pattern))
+        ok, _ = check_basic_relations(BasicCoefficients.from_sixtuple(pattern))
         if not ok:
             continue
         if not _implications_hold(pattern):
@@ -106,29 +97,29 @@ def swap_pattern(pattern: Sequence[int]) -> tuple[int, ...]:
     return (nu_b, nu_w, nu_wb, xi_b, xi_w, xi_wb)
 
 
-def classify_pattern(bc: BasicCoefficients, eps: float = EPS):
+def classify_pattern(bc: BasicCoefficients):
     """Map basic coefficients to a ClassId, a Deformed family, or None.
 
     Patterns violating the coefficient relations classify to None.
     """
-    ok, _ = check_basic_relations(bc, eps)
+    ok, _ = check_basic_relations(bc)
     if not ok:
         return None
     six = bc.sixtuple()
-    if all(approx(v, 0, eps) or approx(v, 1, eps) for v in six):
-        pattern = tuple(int(approx(v, 1, eps)) for v in six)
+    if all(approx(v, 0) or approx(v, 1) for v in six):
+        pattern = tuple(int(approx(v, 1)) for v in six)
         return PATTERNS.get(pattern)
     nu_w, nu_b, nu_wb, xi_w, xi_b, xi_wb = six
     mono_free = (
-        approx(nu_w, 1, eps) and approx(nu_b, 1, eps) and approx(xi_w, 0, eps) and approx(xi_b, 0, eps)
+        approx(nu_w, 1) and approx(nu_b, 1) and approx(xi_w, 0) and approx(xi_b, 0)
     )
-    mono_tensor = all(approx(v, 1, eps) for v in (nu_w, nu_b, xi_w, xi_b))
-    circle = lambda z: abs(abs(z) - 1.0) <= eps and not approx(z, 1, eps)
-    if mono_tensor and circle(nu_wb) and approx(nu_wb, xi_wb, eps):
+    mono_tensor = all(approx(v, 1) for v in (nu_w, nu_b, xi_w, xi_b))
+    circle = lambda z: abs(abs(z) - 1.0) <= EPS and not approx(z, 1)
+    if mono_tensor and circle(nu_wb) and approx(nu_wb, xi_wb):
         return Deformed("tensor", nu_wb.conjugate())
-    if mono_free and circle(nu_wb) and approx(xi_wb, 0, eps):
+    if mono_free and circle(nu_wb) and approx(xi_wb, 0):
         return Deformed("free", nu_wb.conjugate())
-    if mono_free and approx(nu_wb, 0, eps) and circle(xi_wb):
+    if mono_free and approx(nu_wb, 0) and circle(xi_wb):
         return Deformed("bifree", xi_wb.conjugate())
     return None
 
@@ -151,7 +142,6 @@ def closure_generate(
     generators: Iterable[Partition],
     max_legs: int,
     node_cap: int = 500_000,
-    extra_legs: int = 1,
 ) -> frozenset[Partition]:
     """Generate the admissible set spanned by the generators, up to max_legs.
 
@@ -160,13 +150,13 @@ def closure_generate(
     neighboring same-face legs of one block, uniting or remembering two
     blocks with neighboring same-face legs, replacing a block by a matching
     two-block partition from the set, mirroring, and recoloring extremal
-    legs.  The search explores intermediates up to ``max_legs + extra_legs``
-    and returns only partitions of at most max_legs, so the result is a
-    lower bound of the true closure restricted to that size (tight for the
-    twelve classes at max_legs 6 with the default one-leg headroom).
+    legs.  The search explores intermediates up to ``max_legs + 1`` (one
+    leg of headroom) and returns only partitions of at most max_legs, so the
+    result is a lower bound of the true closure restricted to that size
+    (tight for the twelve classes at max_legs 6).
     """
     alphabet = DEFAULT_ALPHABET
-    explore = max_legs + max(0, extra_legs)
+    explore = max_legs + 1
     seeds: list[Partition] = []
     for n in range(1, explore + 1):
         for word in all_words(alphabet, n):

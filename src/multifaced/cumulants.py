@@ -138,7 +138,12 @@ def cumulant(family: WeightFamily, table: FunctionalTable, word: Word, cache: di
         leg = word.__getitem__
         # subsets[0] is the whole word, a block of terms[0] only: the
         # one-block partition, whose cumulant is the unknown solved for.
-        cumulants = [None] + [cumulant(family, table, tuple(map(leg, positions)), cache) for _, positions in subsets[1:]]
+        # The cache is read here, so only a missing subword costs a call.
+        cumulants = [None]
+        for _, positions in subsets[1:]:
+            sub = tuple(map(leg, positions))
+            got = cache.get(sub)
+            cumulants.append(cumulant(family, table, sub, cache) if got is None else got)
         for j, ids in terms[1:]:
             a = family.weight(faces, parts[j])
             if a != 0:

@@ -5,8 +5,11 @@ a word over a finite face alphabet assigning each point (a "leg") a face.
 Legs are 1-based throughout.  Partitions are immutable and kept in canonical
 form: legs inside a block ascending, blocks sorted by their minimum.
 
-The default alphabet has two faces, written ``w`` and ``b``; every operation
-except the two-faced classification layer works over arbitrary alphabets.
+The package works with two faces, written ``w`` and ``b``
+(``DEFAULT_ALPHABET``).  The operations here work over any alphabet, and
+the sweep and text helpers (``all_words``, ``partitions_upto``,
+``parse_diagram``) take one as a parameter; the weight and classification
+layers are two-faced.
 """
 
 from __future__ import annotations
@@ -111,15 +114,6 @@ class Partition:
         """True iff some other block has legs on both sides of ``leg``."""
         self.block_index_of(leg)
         return leg in _analysis(self).inner
-
-    def connected(self, leg1: int, leg2: int) -> bool:
-        """True iff the legs are joined through the crossing graph of blocks.
-
-        Blocks are nodes, crossings are edges; legs of one block are always
-        connected.
-        """
-        a = _analysis(self)
-        return a.component[self.block_index_of(leg1)] == a.component[self.block_index_of(leg2)]
 
     def refines(self, other: "Partition") -> bool:
         """True iff every block of self is contained in a block of other."""
@@ -240,40 +234,6 @@ class Partition:
             return Partition._unsafe(self.word[:-1] + face, self.blocks)
         raise PartitionError(f"end must be 'first' or 'last', got {end!r}")
 
-    def collapse_outer_legs(self, groups: Sequence[Iterable[int]], face: str) -> "Partition":
-        """Collapse each group of legs to a single leg carrying ``face``.
-
-        Every group must be a run of consecutive legs lying in one block, all
-        of them outer.  One representative (the first leg) survives per group,
-        so the block count is preserved.
-        """
-        a = _analysis(self)
-        claimed: set[int] = set()
-        reps: dict[int, str] = {}
-        drop: set[int] = set()
-        for g in groups:
-            legs = sorted(g)
-            if not legs:
-                raise PartitionError("empty collapse group")
-            if legs != list(range(legs[0], legs[-1] + 1)):
-                raise PartitionError(f"group {legs} is not a run of consecutive legs")
-            if len({self._block_index[leg] for leg in legs}) != 1:
-                raise PartitionError(f"group {legs} is not contained in one block")
-            for leg in legs:
-                if not 1 <= leg <= self.n:
-                    raise PartitionError(f"leg {leg} out of range")
-                if leg in a.inner:
-                    raise PartitionError(f"leg {leg} is inner, cannot collapse")
-                if leg in claimed:
-                    raise PartitionError(f"leg {leg} in two groups")
-                claimed.add(leg)
-            reps[legs[0]] = face
-            drop.update(legs[1:])
-        kept = [x for x in range(1, self.n + 1) if x not in drop]
-        restricted = self.restrict(kept)
-        word = "".join(reps.get(leg, self.word[leg - 1]) for leg in kept)
-        return Partition._unsafe(word, restricted.blocks)
-
     def restrict(self, legs: Iterable[int]) -> "Partition":
         """The induced partition on a subset of legs, reindexed to [1..k]."""
         legs = sorted(legs)
@@ -299,62 +259,15 @@ class Partition:
         return Partition._unsafe(word, self.blocks)
 
 
-class OrderedPartition:
-    """A partition together with a total order on its blocks.
-
-    ``order[r]`` is the canonical index (into ``partition.blocks``) of the
-    block at rank r; ranks run from 0 (lowest).
-    """
-
-    __slots__ = ("partition", "order")
-
-    def __init__(self, partition: Partition, order: Sequence[int] | None = None):
-        if order is None:
-            order = tuple(range(partition.block_count))
-        order = tuple(order)
-        if sorted(order) != list(range(partition.block_count)):
-            raise PartitionError(f"order {order} is not a permutation of the blocks")
-        self.partition = partition
-        self.order = order
-
-    def ordered_blocks(self) -> Blocks:
-        return tuple(self.partition.blocks[i] for i in self.order)
-
-    def mirror(self) -> "OrderedPartition":
-        """Mirror the legs; the block order is not reversed."""
-        p = self.partition
-        mirrored = p.mirror()
-        # Track each block through the leg relabelling k -> n - k + 1.
-        n = p.n
-        images = [tuple(sorted(n - leg + 1 for leg in b)) for b in p.blocks]
-        new_index = {b: i for i, b in enumerate(mirrored.blocks)}
-        order = tuple(new_index[images[i]] for i in self.order)
-        return OrderedPartition(mirrored, order)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, OrderedPartition)
-            and self.partition == other.partition
-            and self.order == other.order
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.partition, self.order))
-
-    def __repr__(self) -> str:
-        return f"OrderedPartition({format_diagram(self.partition)!r}, order={self.order})"
-
-
 # -- structural analysis ------------------------------------------------------
 
 
 class _Analysis:
-    __slots__ = ("inner", "crossings", "component")
+    __slots__ = ("inner", "crossings")
 
-    def __init__(self, inner: frozenset[int], crossings: frozenset[tuple[int, int]], component: tuple[int, ...]):
+    def __init__(self, inner: frozenset[int], crossings: frozenset[tuple[int, int]]):
         self.inner = inner
         self.crossings = crossings
-        self.component = component
 
 
 def _blocks_cross(b1: Block, b2: Block) -> bool:
@@ -387,18 +300,7 @@ def _analysis(p: Partition) -> _Analysis:
     crossings = frozenset(
         (i, j) for i in range(k) for j in range(i + 1, k) if _blocks_cross(blocks[i], blocks[j])
     )
-    parent = list(range(k))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in crossings:
-        parent[find(i)] = find(j)
-    component = tuple(find(i) for i in range(k))
-    return _Analysis(frozenset(inner), crossings, component)
+    return _Analysis(frozenset(inner), crossings)
 
 
 # -- enumeration --------------------------------------------------------------
@@ -500,12 +402,6 @@ def partitions_upto(max_legs: int, alphabet: Sequence[str] = DEFAULT_ALPHABET) -
             yield from enumerate_partitions(word)
 
 
-def empty_partition(word: str = "") -> Partition:
-    if word:
-        raise PartitionError("empty partition needs an empty word")
-    return Partition._unsafe("", ())
-
-
 def one_block(word: str) -> Partition:
     """The one-block partition of the given word."""
     if not word:
@@ -599,16 +495,9 @@ def parse_diagram(text: str, alphabet: Sequence[str] | None = None) -> Partition
     return Partition(word, blocks)
 
 
-def partition_to_json(p: Partition | OrderedPartition) -> dict:
-    if isinstance(p, OrderedPartition):
-        d = partition_to_json(p.partition)
-        d["order"] = [i + 1 for i in p.order]
-        return d
+def partition_to_json(p: Partition) -> dict:
     return {"word": p.word, "blocks": [list(b) for b in p.blocks]}
 
 
-def partition_from_json(obj: dict) -> Partition | OrderedPartition:
-    p = Partition(obj["word"], obj["blocks"])
-    if "order" in obj:
-        return OrderedPartition(p, tuple(i - 1 for i in obj["order"]))
-    return p
+def partition_from_json(obj: dict) -> Partition:
+    return Partition(obj["word"], obj["blocks"])

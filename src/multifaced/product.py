@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 
 from .classes import ClassId, member
 from .classify import BudgetExceeded
-from .partitions import OrderedPartition, Partition, meet, partition_index, pure_plan, refinements, set_partitions
+from .partitions import DEFAULT_ALPHABET, Partition, meet, partition_index, pure_plan, refinements, set_partitions
 from .cumulants import (
     FunctionalTable,
     Letter,
@@ -283,7 +283,6 @@ def well_definedness_check(
     factors: Sequence[FunctionalTable],
     word: TaggedWord,
     i: int,
-    eps: float = EPS,
 ) -> dict:
     """Merge adjacent same-factor same-face letters and compare moments.
 
@@ -306,7 +305,7 @@ def well_definedness_check(
     lhs = Product(family, factors).moment(word)
     merged_word = word[: i - 1] + ((kappa, face, merged[1]),) + word[i + 1 :]
     rhs = Product(family, ext).moment(merged_word)
-    return {"lhs": lhs, "rhs": rhs, "diff": abs(lhs - rhs), "ok": abs(lhs - rhs) <= eps}
+    return {"lhs": lhs, "rhs": rhs, "diff": abs(lhs - rhs), "ok": abs(lhs - rhs) <= EPS}
 
 
 def associativity_symmetry_check(
@@ -315,7 +314,6 @@ def associativity_symmetry_check(
     t2: FunctionalTable,
     t3: FunctionalTable,
     max_len: int,
-    eps: float = EPS,
 ) -> dict:
     """Compare both binary bracketings with the flat three-factor formula and
     check invariance under factor swaps, on every tagged word up to max_len."""
@@ -338,7 +336,7 @@ def associativity_symmetry_check(
     return {
         "worst_associativity": worst_assoc,
         "worst_symmetry": worst_sym,
-        "ok": worst_assoc <= eps and worst_sym <= eps,
+        "ok": worst_assoc <= EPS and worst_sym <= EPS,
     }
 
 
@@ -350,22 +348,18 @@ def _all_ones_marker_table(kappa: int, generators: Sequence[Letter], degree: int
     return FunctionalTable(generators, degree, fn=lambda word: scaled)
 
 
-def extract_highest_coefficient(family: WeightFamily, p, order: Sequence[int] | None = None):
+def extract_highest_coefficient(family: WeightFamily, p: Partition):
     """Recover the weight of a partition from the product engine alone.
 
-    Builds the block structure of the (ordered) partition, gives every factor
-    the all-ones functional scaled by a fresh nilpotent marker, and reads off
-    the coefficient of the product of all markers in the product moment.
-    Accepts a Partition (canonical block order) or an OrderedPartition.
+    Builds the block structure of the partition (factor kappa is its block
+    kappa, in canonical order), gives every factor the all-ones functional
+    scaled by a fresh nilpotent marker, and reads off the coefficient of the
+    product of all markers in the product moment.  The weights do not depend
+    on an order of the blocks, so no other order can give another value.
     """
-    if isinstance(p, OrderedPartition):
-        p, order = p.partition, p.order
-    if order is None:
-        order = tuple(range(p.block_count))
     if p.block_count == 0:
         return complex(1)
-    rank = {bidx: r + 1 for r, bidx in enumerate(order)}
-    b = tuple(rank[p._block_index[leg]] for leg in range(1, p.n + 1))
+    b = tuple(p._block_index[leg] + 1 for leg in range(1, p.n + 1))
     k = p.block_count
     generators = [[] for _ in range(k)]
     word: list[TaggedLetter] = []
@@ -502,7 +496,6 @@ def unit_preservation_check(
     max_len: int = 4,
     seed: int = 0,
     samples: int = 40,
-    eps: float = EPS,
 ) -> dict:
     """Compare the three unit-preservation verdicts.
 
@@ -513,7 +506,7 @@ def unit_preservation_check(
     failing insertion, if any.
     """
     rng = random.Random(seed)
-    faces = family.alphabet
+    faces = DEFAULT_ALPHABET
     base1 = random_table(standard_generators(faces, per_face=1, prefix="a"), max_len + 1, rng)
     base2 = random_table(standard_generators(faces, per_face=1, prefix="c"), max_len + 1, rng)
     units1 = {f: (f, f"u1{f}") for f in faces}
@@ -533,7 +526,7 @@ def unit_preservation_check(
                     u = units[f]
                     inserted = word[:pos] + ((kappa, u[0], u[1]),) + word[pos:]
                     got = prod.moment(inserted)
-                    if abs(got - base_value) > eps:
+                    if abs(got - base_value) > EPS:
                         witness = {
                             "word": [list(t) for t in word],
                             "insert": [kappa, u[0], u[1]],
@@ -550,7 +543,7 @@ def unit_preservation_check(
             break
     insertion_invariant = witness is None
     bc = family.basic_coefficients()
-    nu_all_one = all(abs(bc.nu[(q, q)] - 1) <= eps for q in faces)
+    nu_all_one = all(abs(bc.nu[(q, q)] - 1) <= EPS for q in faces)
     singleton = is_singleton_inductive(family, 5).inductive
     return {
         "insertion_invariant": insertion_invariant,

@@ -1,7 +1,8 @@
 """Weight families on multi-faced partitions and the admissibility checker.
 
-A weight family assigns a complex scalar to every partition, is monic
-(value 1 on one-block partitions) and block-permutation invariant.  Families
+A weight family assigns a complex scalar to every partition over the two
+faces ``w`` and ``b``, is monic (value 1 on one-block partitions) and
+block-permutation invariant.  Families
 are given by a class indicator, by a unit-circle deformation of the tensor,
 free or bifree pattern, by an explicit table, or by a 0/1 predicate.
 
@@ -37,14 +38,9 @@ from .partitions import (
 EPS = 1e-9
 
 
-def approx(a: complex, b: complex, eps: float = EPS) -> bool:
-    """Equality of complex scalars up to absolute tolerance."""
-    return abs(a - b) <= eps
-
-
-def on_unit_circle_or_zero(z: complex, eps: float = EPS) -> bool:
-    """True iff z is within eps of 0 or of the unit circle."""
-    return abs(z) <= eps or abs(abs(z) - 1.0) <= eps
+def approx(a: complex, b: complex) -> bool:
+    """Equality of complex scalars up to the absolute tolerance ``EPS``."""
+    return abs(a - b) <= EPS
 
 
 # -- JSON shape checks ---------------------------------------------------------
@@ -95,21 +91,20 @@ def basic_diagrams(q: str, Q: str) -> tuple[Partition, Partition]:
 
 
 class BasicCoefficients:
-    """The four basic-diagram weights per ordered face pair.
+    """The four basic-diagram weights per ordered pair of the two faces.
 
     ``nu[(q, Q)]`` is the weight of the nesting diagram with inner legs q, Q
     (for q == Q the three-leg diagram with a single inner q-leg), and
     ``xi[(q, Q)]`` the weight of the crossing diagram with inner legs q, Q.
     """
 
-    def __init__(self, nu: dict[tuple[str, str], complex], xi: dict[tuple[str, str], complex], alphabet=DEFAULT_ALPHABET):
+    def __init__(self, nu: dict[tuple[str, str], complex], xi: dict[tuple[str, str], complex]):
         self.nu = dict(nu)
         self.xi = dict(xi)
-        self.alphabet = tuple(alphabet)
 
     def sixtuple(self) -> tuple[complex, ...]:
-        """(nu_w, nu_b, nu_wb, xi_w, xi_b, xi_wb) for the two-faced alphabet."""
-        w, b = self.alphabet
+        """(nu_w, nu_b, nu_wb, xi_w, xi_b, xi_wb)."""
+        w, b = DEFAULT_ALPHABET
         return (
             self.nu[(w, w)],
             self.nu[(b, b)],
@@ -120,7 +115,7 @@ class BasicCoefficients:
         )
 
     def to_json(self) -> dict:
-        w, b = self.alphabet
+        w, b = DEFAULT_ALPHABET
         def enc(z: complex):
             return z.real if abs(z.imag) <= EPS else {"re": z.real, "im": z.imag}
         return {
@@ -133,36 +128,37 @@ class BasicCoefficients:
         }
 
     @classmethod
-    def from_diagrams(cls, value: Callable[[Partition], complex], alphabet=DEFAULT_ALPHABET) -> "BasicCoefficients":
+    def from_diagrams(cls, value: Callable[[Partition], complex]) -> "BasicCoefficients":
         """The coefficients read off the basic diagrams by ``value``."""
         nu: dict[tuple[str, str], complex] = {}
         xi: dict[tuple[str, str], complex] = {}
-        for q in alphabet:
-            for Q in alphabet:
+        for q in DEFAULT_ALPHABET:
+            for Q in DEFAULT_ALPHABET:
                 nu_d, xi_d = basic_diagrams(q, Q)
                 nu[(q, Q)], xi[(q, Q)] = value(nu_d), value(xi_d)
-        return cls(nu, xi, alphabet)
+        return cls(nu, xi)
 
     @classmethod
-    def from_json(cls, obj: dict) -> "BasicCoefficients":
+    def from_sixtuple(cls, six) -> "BasicCoefficients":
+        """The inverse of :meth:`sixtuple`: each (b, w) slot is the
+        conjugate of its (w, b) slot."""
         w, b = DEFAULT_ALPHABET
-        json_expect(obj, "an object", "basic coefficients")
-
-        def dec(key: str) -> complex:
-            return json_complex(obj[key], key)
-
-        nu_w, nu_b = dec("nu_w"), dec("nu_b")
-        nu_wb, xi_wb = dec("nu_wb"), dec("xi_wb")
-        xi_w, xi_b = dec("xi_w"), dec("xi_b")
+        nu_w, nu_b, nu_wb, xi_w, xi_b, xi_wb = map(complex, six)
         nu = {(w, w): nu_w, (b, b): nu_b, (w, b): nu_wb, (b, w): nu_wb.conjugate()}
         xi = {(w, w): xi_w, (b, b): xi_b, (w, b): xi_wb, (b, w): xi_wb.conjugate()}
         return cls(nu, xi)
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "BasicCoefficients":
+        json_expect(obj, "an object", "basic coefficients")
+        keys = ("nu_w", "nu_b", "nu_wb", "xi_w", "xi_b", "xi_wb")
+        return cls.from_sixtuple(json_complex(obj[key], key) for key in keys)
 
     def __repr__(self) -> str:
         return f"BasicCoefficients({self.to_json()})"
 
 
-def check_basic_relations(bc: BasicCoefficients, eps: float = EPS):
+def check_basic_relations(bc: BasicCoefficients):
     """Verify the five relations the basic coefficients always satisfy.
 
     (1) nu_q and xi_q are idempotent (hence 0 or 1);
@@ -173,24 +169,23 @@ def check_basic_relations(bc: BasicCoefficients, eps: float = EPS):
     Returns (ok, failures) where failures lists (relation, face pair).
     """
     failures: list[tuple[str, tuple[str, str]]] = []
-    faces = bc.alphabet
-    for q in faces:
+    for q in DEFAULT_ALPHABET:
         nq, xq = bc.nu[(q, q)], bc.xi[(q, q)]
-        if not approx(nq * nq, nq, eps) or not approx(xq * xq, xq, eps):
+        if not approx(nq * nq, nq) or not approx(xq * xq, xq):
             failures.append(("1", (q, q)))
-        for Q in faces:
+        for Q in DEFAULT_ALPHABET:
             nqQ, xqQ = bc.nu[(q, Q)], bc.xi[(q, Q)]
             for t in (nqQ, xq, xqQ):
-                if not approx(t * nq, t, eps):
+                if not approx(t * nq, t):
                     failures.append(("2", (q, Q)))
                     break
             for t in (nqQ, xqQ):
-                if not approx(abs(t) ** 2 * t, t, eps):
+                if not approx(abs(t) ** 2 * t, t):
                     failures.append(("3", (q, Q)))
                     break
-            if not approx(nqQ * xq, xqQ * xq, eps):
+            if not approx(nqQ * xq, xqQ * xq):
                 failures.append(("4", (q, Q)))
-            if not approx(nqQ * xqQ, nqQ * xqQ * xq, eps):
+            if not approx(nqQ * xqQ, nqQ * xqQ * xq):
                 failures.append(("5", (q, Q)))
     return (not failures, failures)
 
@@ -207,8 +202,7 @@ class WeightFamily:
 
     kind = "abstract"
 
-    def __init__(self, alphabet=DEFAULT_ALPHABET, name: str = ""):
-        self.alphabet = tuple(alphabet)
+    def __init__(self, name: str = ""):
         self.name = name or self.kind
         self._cache: dict[tuple[str, Blocks], complex] = {}
 
@@ -232,7 +226,7 @@ class WeightFamily:
 
     def basic_coefficients(self) -> BasicCoefficients:
         """Evaluate the four defining diagrams for every ordered face pair."""
-        return BasicCoefficients.from_diagrams(self.evaluate, self.alphabet)
+        return BasicCoefficients.from_diagrams(self.evaluate)
 
     def descriptor(self) -> dict:
         raise NotImplementedError(f"{self.kind} family has no JSON descriptor")
@@ -247,9 +241,9 @@ class ClassIndicatorFamily(WeightFamily):
     kind = "class"
 
     def __init__(self, class_id: ClassId):
-        super().__init__(DEFAULT_ALPHABET, name=f"class:{class_id.value}")
+        super().__init__(name=f"class:{class_id.value}")
         self.class_id = class_id
-        self._bc = BasicCoefficients.from_diagrams(lambda d: complex(member(class_id, d)), self.alphabet)
+        self._bc = BasicCoefficients.from_diagrams(lambda d: complex(member(class_id, d)))
 
     def _value(self, p: Partition) -> complex:
         return _canonical_value(p, self._bc, self.evaluate)
@@ -278,10 +272,10 @@ class DeformedFamily(WeightFamily):
         if r <= EPS:
             raise ValueError("zeta must be nonzero")
         zeta = complex(zeta) / r
-        super().__init__(DEFAULT_ALPHABET, name=f"deformed:{base}:{zeta:.4g}")
+        super().__init__(name=f"deformed:{base}:{zeta:.4g}")
         self.base = base
         self.zeta = zeta
-        w, b = self.alphabet
+        w, b = DEFAULT_ALPHABET
         one, zero = complex(1), complex(0)
         zc = zeta.conjugate()
         nu = {(w, w): one, (b, b): one, (w, b): zc, (b, w): zeta}
@@ -292,7 +286,7 @@ class DeformedFamily(WeightFamily):
         else:  # bifree
             nu = {(w, w): one, (b, b): one, (w, b): zero, (b, w): zero}
             xi = {(w, w): zero, (b, b): zero, (w, b): zc, (b, w): zeta}
-        self._bc = BasicCoefficients(nu, xi, self.alphabet)
+        self._bc = BasicCoefficients(nu, xi)
 
     def _value(self, p: Partition) -> complex:
         return _canonical_value(p, self._bc, self.evaluate)
@@ -313,8 +307,8 @@ class TableFamily(WeightFamily):
 
     kind = "table"
 
-    def __init__(self, entries: dict[Partition, complex], max_legs: int, alphabet=DEFAULT_ALPHABET):
-        super().__init__(alphabet, name=f"table:{max_legs}")
+    def __init__(self, entries: dict[Partition, complex], max_legs: int):
+        super().__init__(name=f"table:{max_legs}")
         self.entries = dict(entries)
         self.max_legs = max_legs
 
@@ -342,8 +336,8 @@ class PredicateFamily(WeightFamily):
 
     kind = "predicate"
 
-    def __init__(self, name: str, predicate: Callable[[Partition], bool], alphabet=DEFAULT_ALPHABET):
-        super().__init__(alphabet, name=name)
+    def __init__(self, name: str, predicate: Callable[[Partition], bool]):
+        super().__init__(name=name)
         self.predicate = predicate
 
     def _value(self, p: Partition) -> complex:
@@ -513,7 +507,7 @@ class AdmissibilityReport:
         }
 
 
-def check_admissible(family: WeightFamily, max_legs: int, eps: float = EPS) -> AdmissibilityReport:
+def check_admissible(family: WeightFamily, max_legs: int) -> AdmissibilityReport:
     """Exhaustively verify the six admissibility conditions up to max_legs.
 
     (i) weight 1 on one-block partitions; (ii) weight 1 on the two-leg
@@ -524,25 +518,25 @@ def check_admissible(family: WeightFamily, max_legs: int, eps: float = EPS) -> A
     """
     report = AdmissibilityReport(family.name, max_legs)
     ev = family.evaluate
-    for p in partitions_upto(max_legs, family.alphabet):
+    for p in partitions_upto(max_legs):
         v = ev(p)
-        if p.block_count == 1 and not approx(v, 1, eps):
+        if p.block_count == 1 and not approx(v, 1):
             report.record("i", p, f"value {v}")
-        if p.n == 2 and p.block_count == 2 and not approx(v, 1, eps):
+        if p.n == 2 and p.block_count == 2 and not approx(v, 1):
             report.record("ii", p, f"value {v}")
         red = p.reduce()
-        if red != p and not approx(v, ev(red), eps):
+        if red != p and not approx(v, ev(red)):
             report.record("iii", p, f"{v} != {ev(red)} after reduction")
         for i in p.split_sites():
             united, remembered = p.split_at(i)
-            if not approx(v, ev(united) * ev(remembered), eps):
+            if not approx(v, ev(united) * ev(remembered)):
                 report.record("iv", p, f"split at legs {i},{i + 1}")
         for end in ("first", "last"):
-            for face in family.alphabet:
+            for face in DEFAULT_ALPHABET:
                 q = p.change_extremal_face(end, face)
-                if not approx(v, ev(q), eps):
+                if not approx(v, ev(q)):
                     report.record("v", p, f"recolor {end} leg to {face}")
-        if not approx(ev(p.mirror()), v.conjugate(), eps):
+        if not approx(ev(p.mirror()), v.conjugate()):
             report.record("vi", p, f"mirror value {ev(p.mirror())} vs conj {v.conjugate()}")
     return report
 
@@ -569,7 +563,7 @@ class SingletonReport:
         }
 
 
-def is_singleton_inductive(family: WeightFamily, max_legs: int, eps: float = EPS) -> SingletonReport:
+def is_singleton_inductive(family: WeightFamily, max_legs: int) -> SingletonReport:
     """Check that removing any singleton block leaves the weight unchanged.
 
     Exhaustive up to max_legs; also cross-checks the equivalent condition
@@ -577,17 +571,17 @@ def is_singleton_inductive(family: WeightFamily, max_legs: int, eps: float = EPS
     """
     ev = family.evaluate
     witness = None
-    for p in partitions_upto(max_legs, family.alphabet):
+    for p in partitions_upto(max_legs):
         if p.n == 1:
             continue  # removing its singleton would leave no legs
         if any(
-            len(b) == 1 and not approx(ev(p), ev(p.restrict([leg for leg in range(1, p.n + 1) if leg != b[0]])), eps)
+            len(b) == 1 and not approx(ev(p), ev(p.restrict([leg for leg in range(1, p.n + 1) if leg != b[0]])))
             for b in p.blocks
         ):
             witness = p
             break
     bc = family.basic_coefficients()
-    nu_all_one = all(approx(bc.nu[(q, q)], 1, eps) for q in family.alphabet)
+    nu_all_one = all(approx(bc.nu[(q, q)], 1) for q in DEFAULT_ALPHABET)
     return SingletonReport(witness is None, witness, nu_all_one)
 
 
@@ -624,7 +618,7 @@ class ConstantBlockFamily(WeightFamily):
     kind = "broken-constant"
 
     def __init__(self, value: complex = 0.7):
-        super().__init__(DEFAULT_ALPHABET, name=f"broken-constant:{value}")
+        super().__init__(name=f"broken-constant:{value}")
         self.value = complex(value)
 
     def _value(self, p: Partition) -> complex:

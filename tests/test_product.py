@@ -410,15 +410,6 @@ class TestCoefficientExtraction:
                 got = extract_highest_coefficient(fam, p)
                 assert abs(got - fam.evaluate(p)) < 1e-9
 
-    def test_order_does_not_matter(self):
-        fam = DeformedFamily("tensor", cmath.exp(1.0j))
-        p = parse_diagram("wwbbw/13|25|4")
-        values = {
-            extract_highest_coefficient(fam, p, order)
-            for order in ((0, 1, 2), (2, 1, 0), (1, 0, 2))
-        }
-        assert max(abs(a - b) for a in values for b in values) < 1e-12
-
 
 class TestFullCoefficients:
     def test_example_singleton_coefficient(self):

@@ -10,6 +10,7 @@ import pytest
 from multifaced.classes import ALL_CLASSES, ClassId, member
 from multifaced.partitions import Partition, all_words, concatenate, enumerate_partitions, parse_diagram
 from multifaced.weights import (
+    EPS,
     BasicCoefficients,
     ClassIndicatorFamily,
     ConstantBlockFamily,
@@ -23,7 +24,6 @@ from multifaced.weights import (
     evaluate_randomized,
     family_from_json,
     is_singleton_inductive,
-    on_unit_circle_or_zero,
 )
 from multifaced.verify import stock_families
 
@@ -35,11 +35,6 @@ STOCK = [ClassIndicatorFamily(c) for c in ALL_CLASSES] + [
 
 
 class TestScalarHelpers:
-    def test_unit_circle_or_zero(self):
-        assert on_unit_circle_or_zero(0)
-        assert on_unit_circle_or_zero(cmath.exp(0.3j))
-        assert not on_unit_circle_or_zero(0.5)
-
     def test_approx(self):
         assert approx(1 + 0j, 1 + 1e-12j)
         assert not approx(1, 1 + 1e-6)
@@ -177,6 +172,19 @@ class TestAdmissibility:
         conds = check_admissible(bi_interval_family(), 4).conditions
         assert conds["v"] == {"witness": "www/12|3", "detail": "recolor first leg to b"}
         assert conds["vi"]["witness"] == "wwb/13|2"
+
+    def test_tolerance_boundary(self):
+        # EPS is the one numeric tolerance: one-leg weights 1 + d pass (i)
+        # for d below it and fail it, first at w/1, for d above it
+        assert EPS == 1e-9
+
+        def report(d):
+            entries = {parse_diagram("w/1"): 1 + d, parse_diagram("b/1"): 1 + d}
+            return check_admissible(TableFamily(entries, max_legs=1), 1)
+
+        assert report(5e-10).ok
+        violation = report(2e-9).first_violation
+        assert violation[0] == "i" and violation[1]["witness"] == "w/1"
 
     def test_report_json(self):
         rep = check_admissible(ClassIndicatorFamily(ClassId.I), 3)
