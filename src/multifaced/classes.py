@@ -123,12 +123,17 @@ def _is_pure_crossing(p: Partition) -> bool:
     # mutually connected, so this is the two-block reading of "connected
     # inner legs have the same color".  Propagating the color constraint
     # through chains of crossings instead would violate closure under the
-    # block-replacement rewrite, e.g. on wwwbbb/13|25|46.)
-    blocks = p.blocks
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            r = p.restrict(blocks[i] + blocks[j])
-            faces = {r.word[leg - 1] for leg in _analysis(r).inner}
+    # block-replacement rewrite, e.g. on wwwbbb/13|25|46.)  The inner legs
+    # of the pair b, c are the legs of b strictly inside c's span and the
+    # legs of c strictly inside b's span.
+    blocks, word = p.blocks, p.word
+    for i, b in enumerate(blocks):
+        hi = b[-1]
+        for c in blocks[i + 1 :]:
+            if c[0] > hi:
+                break  # blocks ascend by minimum: c and the rest start after b ends
+            faces = {word[leg - 1] for leg in c if leg < hi}
+            faces.update(word[leg - 1] for leg in b if c[0] < leg < c[-1])
             if len(faces) > 1:
                 return False
     return True

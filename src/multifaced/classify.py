@@ -186,18 +186,17 @@ def closure_generate(
     def replace(host: Partition, b: tuple[int, ...], tb: Partition) -> None:
         # Substitute the two blocks of tb for block b of host (through the
         # order isomorphism) and keep the result if the two new blocks have
-        # neighboring legs of one face.
-        legs = list(b)
-        new1 = tuple(legs[i - 1] for i in tb.blocks[0])
-        new2 = tuple(legs[i - 1] for i in tb.blocks[1])
-        blocks = [x for x in host.blocks if x != b] + [new1, new2]
-        cand = Partition._unsafe(host.word, tuple(sorted(blocks, key=lambda x: x[0])))
-        s1, s2 = set(new1), set(new2)
-        for i in range(1, cand.n):
-            if host.word[i - 1] != host.word[i]:
-                continue
-            if (i in s1 and i + 1 in s2) or (i in s2 and i + 1 in s1):
-                add(cand)
+        # neighboring legs of one face.  The legs of b keep b's label on
+        # tb's first block and take a fresh one on its second.
+        word = host.word
+        labels = list(host._block_index)
+        old, fresh = labels[b[0]], host.block_count
+        for leg, j in zip(b, tb._block_index[1:]):
+            if j:
+                labels[leg] = fresh
+        for i in range(1, host.n):
+            if word[i - 1] == word[i] and (labels[i], labels[i + 1]) in ((old, fresh), (fresh, old)):
+                add(Partition._from_labels(word, labels[1:]))
                 return
 
     for s in seeds:

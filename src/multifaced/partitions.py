@@ -3,7 +3,11 @@
 A multi-faced partition is a set partition of [n] = {1, ..., n} together with
 a word over a finite face alphabet assigning each point (a "leg") a face.
 Legs are 1-based throughout.  Partitions are immutable and kept in canonical
-form: legs inside a block ascending, blocks sorted by their minimum.
+form: legs inside a block ascending, blocks sorted by their minimum, which is
+the order in which the blocks first appear along the legs.  Every rewrite
+builds its result from one label per leg (``Partition._from_labels``), so
+canonical form comes from numbering blocks by first appearance, without a
+sort.
 
 The package works with two faces, written ``w`` and ``b``
 (``DEFAULT_ALPHABET``).  The operations here work over any alphabet, and
@@ -65,6 +69,42 @@ class Partition:
         self = object.__new__(cls)
         self._init(word, blocks)
         return self
+
+    @classmethod
+    def _from_labels(cls, word: str, labels: Iterable) -> "Partition":
+        """The partition whose leg i lies in the block named ``labels[i - 1]``.
+
+        Labels are any hashables, one per leg of ``word``; legs with equal
+        labels share a block.  Blocks are numbered by first appearance (the
+        restricted growth relabelling), which is canonical form, so the
+        blocks, block index and hash come out of one pass with no sort.
+        """
+        ids: dict = {}
+        groups: list[list[int]] = []
+        idx = [0]
+        for leg, label in enumerate(labels, 1):
+            i = ids.get(label)
+            if i is None:
+                i = ids[label] = len(groups)
+                groups.append([leg])
+            else:
+                groups[i].append(leg)
+            idx.append(i)
+        self = object.__new__(cls)
+        self.word = word
+        self.blocks = blocks = tuple(map(tuple, groups))
+        self._block_index = tuple(idx)
+        self._hash = hash((word, blocks))
+        return self
+
+    def _with_word(self, word: str) -> "Partition":
+        """Self with another face word of the same length; blocks are shared."""
+        other = object.__new__(Partition)
+        other.word = word
+        other.blocks = self.blocks
+        other._block_index = self._block_index
+        other._hash = hash((word, self.blocks))
+        return other
 
     # -- basic accessors ----------------------------------------------------
 
@@ -130,24 +170,20 @@ class Partition:
         The result has no two adjacent legs with equal face and equal block;
         the block count is preserved and the map is idempotent.
         """
-        n = self.n
-        if n == 0:
+        word, idx = self.word, self._block_index
+        faces = word[:1]
+        labels = list(idx[1:2])
+        for leg in range(2, self.n + 1):
+            if word[leg - 1] != word[leg - 2] or idx[leg] != idx[leg - 1]:
+                faces += word[leg - 1]
+                labels.append(idx[leg])
+        if len(labels) == self.n:
             return self
-        reps: list[int] = [1]
-        for leg in range(2, n + 1):
-            prev = reps[-1]
-            if self.word[leg - 1] == self.word[prev - 1] and self._block_index[leg] == self._block_index[prev]:
-                continue
-            reps.append(leg)
-        if len(reps) == n:
-            return self
-        return self.restrict(reps)
+        return Partition._from_labels(faces, labels)
 
     def mirror(self) -> "Partition":
         """Reverse the leg order: leg k goes to n - k + 1, the word reverses."""
-        n = self.n
-        blocks = _canonical_blocks(tuple(n - leg + 1 for leg in b) for b in self.blocks)
-        return Partition._unsafe(self.word[::-1], blocks)
+        return Partition._from_labels(self.word[::-1], self._block_index[:0:-1])
 
     def unite_blocks(self, b1: Iterable[int], b2: Iterable[int]) -> "Partition":
         """Replace the two given blocks by their union."""
@@ -155,11 +191,15 @@ class Partition:
         b2 = tuple(sorted(b2))
         if b1 == b2:
             raise PartitionError("cannot unite a block with itself")
-        if b1 not in self.blocks or b2 not in self.blocks:
-            raise PartitionError(f"{b1} and {b2} must both be blocks of {self}")
-        rest = [b for b in self.blocks if b != b1 and b != b2]
-        rest.append(tuple(sorted(b1 + b2)))
-        return Partition._unsafe(self.word, _canonical_blocks(rest))
+        try:
+            i1, i2 = self.blocks.index(b1), self.blocks.index(b2)
+        except ValueError:
+            raise PartitionError(f"{b1} and {b2} must both be blocks of {self}") from None
+        return self._united(i1, i2)
+
+    def _united(self, i1: int, i2: int) -> "Partition":
+        # Self with block i2 relabelled as block i1.
+        return Partition._from_labels(self.word, [i1 if i == i2 else i for i in self._block_index[1:]])
 
     def split_sites(self) -> list[int]:
         """Legs i such that legs i and i + 1 share a face but not a block.
@@ -180,8 +220,8 @@ class Partition:
         idx = self._block_index
         if not 1 <= i < self.n or idx[i] == idx[i + 1] or self.word[i - 1] != self.word[i]:
             raise PartitionError(f"legs {i}, {i + 1} of {self} are not a same-face block boundary")
-        b1, b2 = self.blocks[idx[i]], self.blocks[idx[i + 1]]
-        return self.unite_blocks(b1, b2), self.restrict(b1 + b2)
+        i1, i2 = idx[i], idx[i + 1]
+        return self._united(i1, i2), self.restrict(self.blocks[i1] + self.blocks[i2])
 
     def split_block_at_leg(self, leg: int) -> "Partition":
         """Duplicate ``leg`` and split its block between the two copies.
@@ -190,29 +230,20 @@ class Partition:
         copy takes the legs after it; both copies carry the leg's face, all
         later legs shift by one.
         """
-        self.block_index_of(leg)
+        bidx = self.block_index_of(leg)
         word = self.word[:leg] + self.word[leg - 1] + self.word[leg:]
-        bidx = self._block_index[leg]
-        new_blocks: list[tuple[int, ...]] = []
-        for i, b in enumerate(self.blocks):
-            if i == bidx:
-                new_blocks.append(tuple(x for x in b if x < leg) + (leg,))
-                new_blocks.append((leg + 1,) + tuple(x + 1 for x in b if x > leg))
-            else:
-                new_blocks.append(tuple(x if x < leg else x + 1 for x in b))
-        return Partition._unsafe(word, _canonical_blocks(new_blocks))
+        idx = self._block_index
+        # The second copy and the legs of its block after it take a fresh label.
+        fresh = len(self.blocks)
+        after = [fresh if i == bidx else i for i in idx[leg + 1 :]]
+        return Partition._from_labels(word, [*idx[1 : leg + 1], fresh, *after])
 
     def double_leg(self, leg: int) -> "Partition":
         """Duplicate ``leg`` (face included), both copies in the same block."""
-        bidx = self.block_index_of(leg)
+        self.block_index_of(leg)
         word = self.word[:leg] + self.word[leg - 1] + self.word[leg:]
-        new_blocks = []
-        for i, b in enumerate(self.blocks):
-            shifted = tuple(x if x <= leg else x + 1 for x in b)
-            if i == bidx:
-                shifted = tuple(sorted(shifted + (leg + 1,)))
-            new_blocks.append(shifted)
-        return Partition._unsafe(word, _canonical_blocks(new_blocks))
+        idx = self._block_index
+        return Partition._from_labels(word, idx[1 : leg + 1] + idx[leg:])
 
     def merge_legs(self, leg: int) -> "Partition":
         """Merge legs ``leg`` and ``leg + 1``; they must share block and face."""
@@ -222,41 +253,35 @@ class Partition:
             raise PartitionError("legs to merge must lie in the same block")
         if self.word[leg - 1] != self.word[leg]:
             raise PartitionError("legs to merge must have the same face")
-        return self.restrict([x for x in range(1, self.n + 1) if x != leg + 1])
+        idx = self._block_index
+        return Partition._from_labels(self.word[:leg] + self.word[leg + 1 :], idx[1 : leg + 1] + idx[leg + 2 :])
 
     def change_extremal_face(self, end: str, face: str) -> "Partition":
         """Change the face of the first or last leg; ``end`` is 'first' or 'last'."""
         if self.n == 0:
             raise PartitionError("empty partition has no extremal legs")
         if end == "first":
-            return Partition._unsafe(face + self.word[1:], self.blocks)
+            return self._with_word(face + self.word[1:])
         if end == "last":
-            return Partition._unsafe(self.word[:-1] + face, self.blocks)
+            return self._with_word(self.word[:-1] + face)
         raise PartitionError(f"end must be 'first' or 'last', got {end!r}")
 
     def restrict(self, legs: Iterable[int]) -> "Partition":
         """The induced partition on a subset of legs, reindexed to [1..k]."""
         legs = sorted(legs)
-        pos = {leg: i + 1 for i, leg in enumerate(legs)}
-        word = "".join(self.word[leg - 1] for leg in legs)
-        sub: dict[int, list[int]] = {}
-        for leg in legs:
-            sub.setdefault(self._block_index[leg], []).append(pos[leg])
-        return Partition._unsafe(word, _canonical_blocks(sub.values()))
+        word, idx = self.word, self._block_index
+        return Partition._from_labels("".join([word[leg - 1] for leg in legs]), [idx[leg] for leg in legs])
 
     def rotate(self) -> "Partition":
         """Cyclic rotation: leg i goes to i + 1 (and n to 1), word rotated along."""
-        n = self.n
-        if n == 0:
+        if self.n == 0:
             return self
-        word = self.word[-1] + self.word[:-1]
-        blocks = (tuple(leg % n + 1 for leg in b) for b in self.blocks)
-        return Partition._unsafe(word, _canonical_blocks(blocks))
+        idx = self._block_index
+        return Partition._from_labels(self.word[-1] + self.word[:-1], idx[-1:] + idx[1:-1])
 
     def swap_faces(self, mapping: dict[str, str]) -> "Partition":
         """Relabel faces through ``mapping`` (identity on unlisted faces)."""
-        word = "".join(mapping.get(c, c) for c in self.word)
-        return Partition._unsafe(word, self.blocks)
+        return self._with_word("".join(mapping.get(c, c) for c in self.word))
 
 
 # -- structural analysis ------------------------------------------------------
@@ -419,13 +444,12 @@ def singletons(word: str) -> Partition:
 
 def concatenate(parts: Sequence[Partition]) -> Partition:
     """Concatenate partitions: words joined, blocks shifted by offsets."""
-    word = "".join(p.word for p in parts)
-    blocks: list[Block] = []
+    labels: list[int] = []
     offset = 0
     for p in parts:
-        blocks.extend(tuple(leg + offset for leg in b) for b in p.blocks)
-        offset += p.n
-    return Partition._unsafe(word, _canonical_blocks(blocks))
+        labels.extend(i + offset for i in p._block_index[1:])
+        offset += p.block_count
+    return Partition._from_labels("".join(p.word for p in parts), labels)
 
 
 def meet(parts: Sequence[Partition]) -> Partition:
@@ -436,21 +460,25 @@ def meet(parts: Sequence[Partition]) -> Partition:
     for p in parts[1:]:
         if p.word != word:
             raise PartitionError("meet requires a common face word")
-    keys: dict[tuple[int, ...], list[int]] = {}
-    for leg in range(1, len(word) + 1):
-        key = tuple(p._block_index[leg] for p in parts)
-        keys.setdefault(key, []).append(leg)
-    return Partition._unsafe(word, _canonical_blocks(keys.values()))
+    # A leg's label is its block in every part.
+    return Partition._from_labels(word, zip(*(p._block_index[1:] for p in parts)))
 
 
 def refinements(p: Partition) -> Iterator[Partition]:
     """All partitions refining p (every block split independently)."""
-    per_block = [set_partitions(len(b)) for b in p.blocks]
+    # Per block of p, each way to split it as (0-based position, label)
+    # pairs; labels are unique across blocks.
+    n = p.n
+    per_block = [
+        [[(b[i - 1] - 1, k * n + s) for s, sb in enumerate(sub) for i in sb] for sub in set_partitions(len(b))]
+        for k, b in enumerate(p.blocks)
+    ]
     for combo in itertools.product(*per_block):
-        blocks: list[Block] = []
-        for b, sub in zip(p.blocks, combo):
-            blocks.extend(tuple(b[i - 1] for i in sb) for sb in sub)
-        yield Partition._unsafe(p.word, _canonical_blocks(blocks))
+        labels = [0] * n
+        for row in combo:
+            for pos, label in row:
+                labels[pos] = label
+        yield Partition._from_labels(p.word, labels)
 
 
 # -- text and JSON ------------------------------------------------------------
@@ -479,13 +507,18 @@ def parse_diagram(text: str, alphabet: Sequence[str] | None = None) -> Partition
             raise PartitionError(f"faces {sorted(bad)} not in alphabet {alphabet}")
     blocks: list[list[int]] = []
     body = body.strip()
+    # Above 15 legs every block is decimal, one-leg blocks included.
+    decimal = len(word) > 15
     if body:
         for chunk in body.split("|"):
             chunk = chunk.strip()
             if not chunk:
                 raise PartitionError(f"empty block in {text!r}")
-            if "," in chunk:
-                legs = [int(s) for s in chunk.split(",")]
+            if decimal or "," in chunk:
+                try:
+                    legs = [int(s) for s in chunk.split(",")]
+                except ValueError:
+                    raise PartitionError(f"bad leg number in block {chunk!r}") from None
             else:
                 try:
                     legs = [_HEX.index(c) + 1 for c in chunk]

@@ -1,9 +1,11 @@
 """Membership predicates for the twelve two-faced partition classes."""
 
+import itertools
+
 import pytest
 
-from multifaced.classes import ALL_CLASSES, ClassId, class_member_set, member, swap_class
-from multifaced.partitions import Partition, all_words, enumerate_partitions, parse_diagram
+from multifaced.classes import ALL_CLASSES, ClassId, _is_pure_crossing, class_member_set, member, swap_class
+from multifaced.partitions import Partition, _analysis, all_words, enumerate_partitions, parse_diagram, partitions_upto
 
 SWAP = {"w": "b", "b": "w"}
 
@@ -65,6 +67,18 @@ class TestMembershipExamples:
                 if p.is_interval():
                     assert all(member(c, p) for c in ALL_CLASSES)
 
+    def test_pure_crossing_against_restricted_pairs(self):
+        # the definition read off each pair's restricted two-block diagram
+        def by_restriction(p):
+            for b, c in itertools.combinations(p.blocks, 2):
+                r = p.restrict(b + c)
+                if len({r.face(leg) for leg in _analysis(r).inner}) > 1:
+                    return False
+            return True
+
+        for p in partitions_upto(6):
+            assert _is_pure_crossing(p) == by_restriction(p), p
+
     def test_pure_crossing_chain(self):
         # Crossing zones may carry different colors as long as each pair of
         # blocks stays monochrome on its own overlap.
@@ -108,6 +122,24 @@ class TestMemberSets:
         # |A| is every colored partition with <= 4 legs: 2+8+40+240
         assert sizes["A"] == 290
         assert sizes["I"] < sizes["pNC"] < sizes["A"]
+
+    def test_cardinalities_at_six_legs(self):
+        # the 14,946 two-faced partitions with at most 6 legs, per class
+        sizes = {c.value: len(class_member_set(c, 6)) for c in ALL_CLASSES}
+        assert sizes == {
+            "I": 2730,
+            "NC": 10066,
+            "biNC": 10066,
+            "IwNCb": 4810,
+            "NCwIb": 4810,
+            "IwAb": 5402,
+            "AwIb": 5402,
+            "NCwAb": 9210,
+            "AwNCb": 9210,
+            "pNC": 8362,
+            "pC": 10066,
+            "A": 14946,
+        }
 
     def test_meet_stays_testable(self):
         # common refinements of members remain valid predicate inputs

@@ -295,6 +295,7 @@ class TestStdinAndWarnings:
         code, out, _ = run(capsys, "check-admissible", "--family", "-", "--max-legs", "3")
         assert code == 0 and json.loads(out)["pass"] is True
 
+    @pytest.mark.slow
     def test_large_sweep_warns(self, capsys):
         code, _, err = run(
             capsys, "check-admissible", "--family", '{"kind": "class", "class": "I"}',

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from multifaced.partitions import (
     Partition,
     PartitionError,
+    _analysis,
     all_words,
     concatenate,
     enumerate_partitions,
@@ -19,6 +20,7 @@ from multifaced.partitions import (
     partition_to_json,
     partitions_upto,
     pure_plan,
+    refinements,
     set_partitions,
     singletons,
 )
@@ -264,6 +266,21 @@ class TestInnerConnected:
                     assert p.is_inner(leg) == brute
 
 
+class TestCrossingOracle:
+    def test_exhaustive_crossing_oracle(self):
+        # blocks i < j cross iff some a < b < c < d has a, c in one block and
+        # b, d in the other; faces play no part, so one word per length
+        for n in range(1, 7):
+            for p in enumerate_partitions("w" * n):
+                idx = p._block_index
+                brute = {
+                    tuple(sorted((idx[a], idx[b])))
+                    for a, b, c, d in itertools.combinations(range(1, n + 1), 4)
+                    if idx[a] == idx[c] != idx[b] == idx[d]
+                }
+                assert _analysis(p).crossings == brute
+
+
 class TestLocalRewrites:
     def test_double_then_merge(self):
         p = parse_diagram("wbw/13|2")
@@ -327,6 +344,154 @@ class TestTextAndJson:
         assert format_diagram(p) == word + "/" + ",".join(str(i) for i in range(1, 17))
         assert parse_diagram(format_diagram(p)) == p
 
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_one_leg_blocks_above_fifteen_legs(self, n):
+        word = "wb" * 8 + "w" * (n - 16)
+        cases = [
+            singletons(word),
+            Partition(word, [range(1, n), (n,)]),
+            Partition(word, [(1,), range(2, n + 1)]),
+            Partition(word, [(1, n), (2,), range(3, n)]),
+        ]
+        for p in cases:
+            assert parse_diagram(format_diagram(p)) == p
+        assert format_diagram(cases[0]) == word + "/" + "|".join(str(i) for i in range(1, n + 1))
+        assert format_diagram(cases[1]).endswith(f"{n - 1}|{n}")
+
+    def test_decimal_blocks_above_fifteen_legs_are_checked(self):
+        with pytest.raises(PartitionError):
+            parse_diagram("w" * 16 + "/1,2,3,4,5,6,7,8,9,10,11,12,13,14,15|1g")
+        with pytest.raises(PartitionError):
+            parse_diagram("w" * 16 + "/1,2,3,4,5,6,7,8,9,10,11,12,13,14,15|17")
+
     def test_json_roundtrip(self):
         p = parse_diagram("wbbwb/134|25")
         assert partition_from_json(partition_to_json(p)) == p
+
+
+# -- the sorting constructions the rewrites replaced, as == references ----------
+#
+# Each builds the rewritten blocks leg by leg and lets the validating
+# constructor sort them into canonical form.
+
+
+def ref_restrict(p, legs):
+    legs = sorted(legs)
+    pos = {leg: i + 1 for i, leg in enumerate(legs)}
+    sub = {}
+    for leg in legs:
+        sub.setdefault(p.block_index_of(leg), []).append(pos[leg])
+    return Partition("".join(p.face(leg) for leg in legs), sub.values())
+
+
+def ref_reduce(p):
+    reps = [1]
+    for leg in range(2, p.n + 1):
+        if p.face(leg) != p.face(reps[-1]) or p.block_of(leg) != p.block_of(reps[-1]):
+            reps.append(leg)
+    return p if len(reps) == p.n else ref_restrict(p, reps)
+
+
+def ref_mirror(p):
+    return Partition(p.word[::-1], [[p.n - leg + 1 for leg in b] for b in p.blocks])
+
+
+def ref_unite(p, b1, b2):
+    return Partition(p.word, [b for b in p.blocks if b not in (b1, b2)] + [b1 + b2])
+
+
+def ref_split_block_at_leg(p, leg):
+    word = p.word[:leg] + p.word[leg - 1] + p.word[leg:]
+    blocks = []
+    for b in p.blocks:
+        if leg in b:
+            blocks.append([x for x in b if x < leg] + [leg])
+            blocks.append([leg + 1] + [x + 1 for x in b if x > leg])
+        else:
+            blocks.append([x if x < leg else x + 1 for x in b])
+    return Partition(word, blocks)
+
+
+def ref_double_leg(p, leg):
+    word = p.word[:leg] + p.word[leg - 1] + p.word[leg:]
+    blocks = [[x if x <= leg else x + 1 for x in b] + ([leg + 1] if leg in b else []) for b in p.blocks]
+    return Partition(word, blocks)
+
+
+def ref_rotate(p):
+    return Partition(p.word[-1] + p.word[:-1], [[leg % p.n + 1 for leg in b] for b in p.blocks])
+
+
+def ref_concatenate(parts):
+    blocks, offset = [], 0
+    for p in parts:
+        blocks.extend([leg + offset for leg in b] for b in p.blocks)
+        offset += p.n
+    return Partition("".join(p.word for p in parts), blocks)
+
+
+def ref_meet(parts):
+    keys = {}
+    for leg in range(1, parts[0].n + 1):
+        keys.setdefault(tuple(p.block_index_of(leg) for p in parts), []).append(leg)
+    return Partition(parts[0].word, keys.values())
+
+
+def ref_refinements(p):
+    for combo in itertools.product(*(set_partitions(len(b)) for b in p.blocks)):
+        yield Partition(p.word, [[b[i - 1] for i in sb] for b, sub in zip(p.blocks, combo) for sb in sub])
+
+
+def assert_identical(got, want):
+    # __eq__ ignores _block_index, so every field is compared on its own
+    assert got.word == want.word
+    assert got.blocks == want.blocks
+    assert got._block_index == want._block_index
+    assert hash(got) == hash(want)
+
+
+class TestRewritesAgainstSortingConstructions:
+    def test_unary_rewrites_up_to_five_legs(self):
+        for p in partitions_upto(5):
+            n = p.n
+            assert_identical(p.reduce(), ref_reduce(p))
+            assert_identical(p.mirror(), ref_mirror(p))
+            assert_identical(p.rotate(), ref_rotate(p))
+            assert_identical(p.swap_faces({"w": "b", "b": "w"}), Partition(p.word.translate(str.maketrans("wb", "bw")), p.blocks))
+            for end, face in itertools.product(("first", "last"), "wb"):
+                word = face + p.word[1:] if end == "first" else p.word[:-1] + face
+                assert_identical(p.change_extremal_face(end, face), Partition(word, p.blocks))
+            for leg in range(1, n + 1):
+                assert_identical(p.split_block_at_leg(leg), ref_split_block_at_leg(p, leg))
+                assert_identical(p.double_leg(leg), ref_double_leg(p, leg))
+            for leg in range(1, n):
+                if p.block_of(leg) == p.block_of(leg + 1) and p.face(leg) == p.face(leg + 1):
+                    want = ref_restrict(p, [x for x in range(1, n + 1) if x != leg + 1])
+                    assert_identical(p.merge_legs(leg), want)
+            for b1, b2 in itertools.permutations(p.blocks, 2):
+                assert_identical(p.unite_blocks(b1, b2), ref_unite(p, b1, b2))
+                assert_identical(p.restrict(b2 + b1), ref_restrict(p, b1 + b2))
+            for i in p.split_sites():
+                b1, b2 = p.block_of(i), p.block_of(i + 1)
+                united, remembered = p.split_at(i)
+                assert_identical(united, ref_unite(p, b1, b2))
+                assert_identical(remembered, ref_restrict(p, b1 + b2))
+            for k in range(1, n + 1):
+                for legs in itertools.combinations(range(1, n + 1), k):
+                    assert_identical(p.restrict(legs), ref_restrict(p, legs))
+
+    def test_gluing_and_lattice_up_to_four_legs(self):
+        parts = list(partitions_upto(4))
+        for p in parts:
+            got, want = list(refinements(p)), list(ref_refinements(p))
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert_identical(g, w)
+            for q in parts:
+                assert_identical(concatenate([p, q]), ref_concatenate([p, q]))
+                if q.word == p.word:
+                    assert_identical(meet([p, q]), ref_meet([p, q]))
+        for triple in itertools.product([p for p in parts if p.n <= 3], repeat=3):
+            if len({p.word for p in triple}) == 1:
+                assert_identical(meet(triple), ref_meet(triple))
+        assert_identical(concatenate([]), Partition("", []))
