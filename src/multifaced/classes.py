@@ -9,10 +9,10 @@ partition layer works over other alphabets.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
+from bisect import bisect
 from typing import Callable
 
-from .partitions import DEFAULT_ALPHABET, Partition, _analysis, partitions_upto
+from .partitions import DEFAULT_ALPHABET, Block, Partition, partitions_upto
 
 W, B = DEFAULT_ALPHABET
 
@@ -58,12 +58,41 @@ def swap_class(c: ClassId) -> ClassId:
 
 
 def _is_noncrossing(p: Partition) -> bool:
-    return not _analysis(p).crossings
+    # One scan over the legs with a stack of the blocks opened and not yet
+    # closed: a leg whose block opened earlier must be in the innermost one.
+    idx, blocks = p._block_index, p.blocks
+    stack: list[int] = []
+    for leg in range(1, p.n + 1):
+        i = idx[leg]
+        b = blocks[i]
+        if leg == b[0]:
+            if len(b) > 1:
+                stack.append(i)
+        elif stack[-1] != i:
+            return False
+        elif leg == b[-1]:
+            stack.pop()
+    return True
+
+
+def _inner_legs(p: Partition) -> set[int]:
+    """The legs strictly inside the span of another block."""
+    idx = p._block_index
+    return {leg for i, c in enumerate(p.blocks) for leg in range(c[0] + 1, c[-1]) if idx[leg] != i}
+
+
+def _cross(b: Block, c: Block) -> bool:
+    # For b[0] < c[0]: the blocks cross iff the legs of c fall into more
+    # than one gap between consecutive legs of b, that is, iff c ends past
+    # the first leg of b after c[0].
+    if c[0] < b[0]:
+        b, c = c, b
+    g = bisect(b, c[0])
+    return g < len(b) and c[-1] > b[g]
 
 
 def _all_face_outer(p: Partition, face: str) -> bool:
-    inner = _analysis(p).inner
-    return all(p.word[leg - 1] != face for leg in inner)
+    return all(p.word[leg - 1] != face for leg in _inner_legs(p))
 
 
 def _is_binoncrossing(p: Partition) -> bool:
@@ -95,24 +124,24 @@ def _is_binoncrossing(p: Partition) -> bool:
 def _is_noncrossing_arbitrary(p: Partition, face: str) -> bool:
     # Every block containing an inner `face`-leg must be monochrome and must
     # not cross any other block.
-    a = _analysis(p)
-    for idx, b in enumerate(p.blocks):
-        if not any(leg in a.inner and p.word[leg - 1] == face for leg in b):
+    inner = _inner_legs(p)
+    for b in p.blocks:
+        if not any(leg in inner and p.word[leg - 1] == face for leg in b):
             continue
         if len({p.word[leg - 1] for leg in b}) > 1:
             return False
-        if any(idx in pair for pair in a.crossings):
+        if any(_cross(b, c) for c in p.blocks if c is not b):
             return False
     return True
 
 
 def _is_pure_noncrossing(p: Partition) -> bool:
     # Noncrossing, and every block containing an inner leg is monochrome.
-    a = _analysis(p)
-    if a.crossings:
+    if not _is_noncrossing(p):
         return False
+    inner = _inner_legs(p)
     for b in p.blocks:
-        if any(leg in a.inner for leg in b) and len({p.word[leg - 1] for leg in b}) > 1:
+        if any(leg in inner for leg in b) and len({p.word[leg - 1] for leg in b}) > 1:
             return False
     return True
 
@@ -155,7 +184,6 @@ _PREDICATES: dict[ClassId, Callable[[Partition], bool]] = {
 }
 
 
-@lru_cache(maxsize=None)
 def member(c: ClassId, p: Partition) -> bool:
     """Membership of a two-faced partition in one of the twelve classes."""
     bad = set(p.word) - {W, B}

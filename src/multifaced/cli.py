@@ -57,6 +57,11 @@ def _load_json_arg(value: str) -> dict:
     return json.loads(text, parse_float=_finite, parse_int=_float_sized, parse_constant=_finite)
 
 
+def _check_legs(max_legs: int) -> None:
+    if max_legs < 1:
+        raise ValueError(f"--max-legs must be at least 1, got {max_legs}")
+
+
 def _warn_legs(max_legs: int) -> None:
     if max_legs > 6:
         print(
@@ -108,6 +113,7 @@ def cmd_member(args) -> int:
 
 
 def cmd_check_admissible(args) -> int:
+    _check_legs(args.max_legs)
     _warn_legs(args.max_legs)
     family = family_from_json(_load_json_arg(args.family))
     report = check_admissible(family, args.max_legs)
@@ -116,6 +122,7 @@ def cmd_check_admissible(args) -> int:
 
 
 def cmd_closure(args) -> int:
+    _check_legs(args.max_legs)
     _warn_legs(args.max_legs)
     obj = _load_json_arg(args.generators)
     diagrams = obj["generators"] if isinstance(obj, dict) else obj
@@ -139,6 +146,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_hasse(args) -> int:
+    _check_legs(args.max_legs)
     _warn_legs(args.max_legs)
     report = hasse_verify(args.max_legs)
     if args.dot:

@@ -39,7 +39,7 @@ def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
 class Partition:
     """A set partition of [n] with a face word of length n."""
 
-    __slots__ = ("word", "blocks", "_block_index", "_hash")
+    __slots__ = ("word", "n", "blocks", "_block_index", "_hash")
 
     def __init__(self, word: str, blocks: Iterable[Iterable[int]]):
         blocks = _canonical_blocks(blocks)
@@ -55,6 +55,7 @@ class Partition:
 
     def _init(self, word: str, blocks: Blocks) -> None:
         self.word = word
+        self.n = len(word)
         self.blocks = blocks
         idx = [0] * (len(word) + 1)
         for i, b in enumerate(blocks):
@@ -92,6 +93,7 @@ class Partition:
             idx.append(i)
         self = object.__new__(cls)
         self.word = word
+        self.n = len(word)
         self.blocks = blocks = tuple(map(tuple, groups))
         self._block_index = tuple(idx)
         self._hash = hash((word, blocks))
@@ -101,16 +103,13 @@ class Partition:
         """Self with another face word of the same length; blocks are shared."""
         other = object.__new__(Partition)
         other.word = word
+        other.n = self.n
         other.blocks = self.blocks
         other._block_index = self._block_index
         other._hash = hash((word, self.blocks))
         return other
 
     # -- basic accessors ----------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return len(self.word)
 
     @property
     def block_count(self) -> int:
@@ -149,11 +148,6 @@ class Partition:
     def is_interval(self) -> bool:
         """True iff every block is a set of consecutive legs."""
         return all(b[-1] - b[0] + 1 == len(b) for b in self.blocks)
-
-    def is_inner(self, leg: int) -> bool:
-        """True iff some other block has legs on both sides of ``leg``."""
-        self.block_index_of(leg)
-        return leg in _analysis(self).inner
 
     def refines(self, other: "Partition") -> bool:
         """True iff every block of self is contained in a block of other."""
@@ -282,50 +276,6 @@ class Partition:
     def swap_faces(self, mapping: dict[str, str]) -> "Partition":
         """Relabel faces through ``mapping`` (identity on unlisted faces)."""
         return self._with_word("".join(mapping.get(c, c) for c in self.word))
-
-
-# -- structural analysis ------------------------------------------------------
-
-
-class _Analysis:
-    __slots__ = ("inner", "crossings")
-
-    def __init__(self, inner: frozenset[int], crossings: frozenset[tuple[int, int]]):
-        self.inner = inner
-        self.crossings = crossings
-
-
-def _blocks_cross(b1: Block, b2: Block) -> bool:
-    # Two blocks cross iff their merged leg sequence alternates at least
-    # B G B G, i.e. the origin label changes three or more times.
-    merged = sorted(itertools.chain(((leg, 0) for leg in b1), ((leg, 1) for leg in b2)))
-    changes = 0
-    prev = merged[0][1]
-    for _, o in merged[1:]:
-        if o != prev:
-            changes += 1
-            prev = o
-    return changes >= 3
-
-
-@lru_cache(maxsize=None)
-def _analysis(p: Partition) -> _Analysis:
-    blocks = p.blocks
-    k = len(blocks)
-    inner: set[int] = set()
-    for i, b in enumerate(blocks):
-        for j, c in enumerate(blocks):
-            if i == j:
-                continue
-            lo, hi = c[0], c[-1]
-            for leg in b:
-                if lo < leg < hi:
-                    # c has a leg on each side of `leg` because lo, hi in c.
-                    inner.add(leg)
-    crossings = frozenset(
-        (i, j) for i in range(k) for j in range(i + 1, k) if _blocks_cross(blocks[i], blocks[j])
-    )
-    return _Analysis(frozenset(inner), crossings)
 
 
 # -- enumeration --------------------------------------------------------------

@@ -4,10 +4,79 @@ import itertools
 
 import pytest
 
-from multifaced.classes import ALL_CLASSES, ClassId, _is_pure_crossing, class_member_set, member, swap_class
-from multifaced.partitions import Partition, _analysis, all_words, enumerate_partitions, parse_diagram, partitions_upto
+from multifaced.classes import (
+    ALL_CLASSES,
+    ClassId,
+    _is_binoncrossing,
+    _is_pure_crossing,
+    class_member_set,
+    member,
+    swap_class,
+)
+from multifaced.partitions import Partition, all_words, enumerate_partitions, parse_diagram, partitions_upto
 
 SWAP = {"w": "b", "b": "w"}
+
+
+# -- reference predicates --------------------------------------------------------
+# Inner legs and crossing pairs computed over all pairs of blocks, the
+# crossing test by sorting the two blocks' merged legs, and the classes
+# built on them as in the definitions.  biNC and pC read the blocks
+# directly and are their own reference.
+
+
+def reference_inner(p):
+    """Legs of a block b strictly between the first and last leg of another block c."""
+    return {leg for b in p.blocks for c in p.blocks if c is not b for leg in b if c[0] < leg < c[-1]}
+
+
+def sorting_cross(b1, b2):
+    # Two blocks cross iff their merged leg sequence alternates at least
+    # B G B G, i.e. the origin label changes three or more times.
+    origins = [o for _, o in sorted([(leg, 0) for leg in b1] + [(leg, 1) for leg in b2])]
+    return sum(x != y for x, y in zip(origins, origins[1:])) >= 3
+
+
+def reference_crossings(p):
+    blocks = p.blocks
+    return {(i, j) for i, j in itertools.combinations(range(len(blocks)), 2) if sorting_cross(blocks[i], blocks[j])}
+
+
+def reference_outer(p, face):
+    return all(p.face(leg) != face for leg in reference_inner(p))
+
+
+def reference_nc_arbitrary(p, face):
+    inner, crossings = reference_inner(p), reference_crossings(p)
+    for idx, b in enumerate(p.blocks):
+        if not any(leg in inner and p.face(leg) == face for leg in b):
+            continue
+        if len({p.face(leg) for leg in b}) > 1 or any(idx in pair for pair in crossings):
+            return False
+    return True
+
+
+def reference_pure_nc(p):
+    inner = reference_inner(p)
+    return not reference_crossings(p) and all(
+        len({p.face(leg) for leg in b}) == 1 for b in p.blocks if any(leg in inner for leg in b)
+    )
+
+
+REFERENCE = {
+    ClassId.I: lambda p: p.is_interval(),
+    ClassId.NC: lambda p: not reference_crossings(p),
+    ClassId.biNC: _is_binoncrossing,
+    ClassId.IwNCb: lambda p: not reference_crossings(p) and reference_outer(p, "w"),
+    ClassId.NCwIb: lambda p: not reference_crossings(p) and reference_outer(p, "b"),
+    ClassId.IwAb: lambda p: reference_outer(p, "w"),
+    ClassId.AwIb: lambda p: reference_outer(p, "b"),
+    ClassId.NCwAb: lambda p: reference_nc_arbitrary(p, "w"),
+    ClassId.AwNCb: lambda p: reference_nc_arbitrary(p, "b"),
+    ClassId.pNC: reference_pure_nc,
+    ClassId.pC: _is_pure_crossing,
+    ClassId.A: lambda p: True,
+}
 
 
 def basic_diagrams(q, Q):
@@ -72,7 +141,8 @@ class TestMembershipExamples:
         def by_restriction(p):
             for b, c in itertools.combinations(p.blocks, 2):
                 r = p.restrict(b + c)
-                if len({r.face(leg) for leg in _analysis(r).inner}) > 1:
+                inner = {leg for leg in range(1, r.n + 1) for d in r.blocks if leg not in d and d[0] < leg < d[-1]}
+                if len({r.face(leg) for leg in inner}) > 1:
                     return False
             return True
 
@@ -84,6 +154,19 @@ class TestMembershipExamples:
         # blocks stays monochrome on its own overlap.
         assert member(ClassId.pC, parse_diagram("wwwbbb/13|25|46"))
         assert not member(ClassId.pC, parse_diagram("wbwb/13|24"))
+
+    def test_against_reference_predicates(self):
+        for p in partitions_upto(6):
+            assert [member(c, p) for c in ALL_CLASSES] == [REFERENCE[c](p) for c in ALL_CLASSES], p
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("c", ALL_CLASSES, ids=lambda c: c.value)
+    def test_membership_is_pairwise(self, c):
+        # p is a member iff every two-block restriction of p is one: an
+        # observed rule, checked here as a route that restates no predicate
+        for p in partitions_upto(6):
+            pairs = all(member(c, p.restrict(b + d)) for b, d in itertools.combinations(p.blocks, 2))
+            assert member(c, p) == pairs, p
 
     def test_wrong_alphabet(self):
         with pytest.raises(ValueError):

@@ -179,9 +179,7 @@ class TestRefinementRestriction:
         assert refinement_restriction_check(c, 5)["ok"]
 
     def test_negative_control(self):
-        from multifaced.partitions import _analysis
-
-        bounded_nc = lambda p: (not _analysis(p).crossings) and p.block_count <= 2
+        bounded_nc = lambda p: member(ClassId.NC, p) and p.block_count <= 2
         got = refinement_restriction_check(bounded_nc, 4)
         assert not got["ok"]
 

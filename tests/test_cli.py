@@ -174,6 +174,23 @@ class TestHasse:
         assert dot.read_text().startswith("digraph hasse {")
 
 
+class TestMaxLegs:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check-admissible", "--family", '{"kind": "class", "class": "I"}'),
+            ("closure", "--generators", '{"generators": []}'),
+            ("hasse",),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("legs", ["0", "-3"])
+    def test_below_one_rejected(self, capsys, argv, legs):
+        code, out, err = run(capsys, *argv, "--max-legs", legs)
+        assert code == 1 and out == ""
+        assert f"malformed input: --max-legs must be at least 1, got {legs}" in err
+
+
 def make_query(tmp_path):
     r = random.Random(5)
     ga = (("w", "a1w"), ("b", "a2b"), ("w", "a3w"))

@@ -5,10 +5,10 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multifaced.classes import _cross, _inner_legs, _is_noncrossing
 from multifaced.partitions import (
     Partition,
     PartitionError,
-    _analysis,
     all_words,
     concatenate,
     enumerate_partitions,
@@ -243,42 +243,41 @@ class TestSplitRelation:
 
 
 class TestInnerConnected:
-    def test_nested_leg_is_inner(self):
-        p = parse_diagram("wbw/13|2")
-        assert p.is_inner(2) and not p.is_inner(1) and not p.is_inner(3)
+    def test_nested_leg_inner(self):
+        assert _inner_legs(parse_diagram("wbw/13|2")) == {2}
 
     def test_interval_all_outer(self):
-        p = parse_diagram("wwbbb/12|345")
-        assert not any(p.is_inner(leg) for leg in range(1, 6))
+        assert _inner_legs(parse_diagram("wwbbb/12|345")) == set()
 
     def test_exhaustive_inner_oracle(self):
         # brute-force scan over all (i, j, block) triples; the predicate
         # ignores faces, so one word per length is exhaustive at n <= 6
         for n in range(1, 7):
             for p in enumerate_partitions("w" * n):
-                for leg in range(1, n + 1):
-                    brute = any(
-                        i < leg < j and leg not in b
-                        for b in p.blocks
-                        for i in b
-                        for j in b
-                    )
-                    assert p.is_inner(leg) == brute
+                brute = {
+                    leg
+                    for leg in range(1, n + 1)
+                    if any(i < leg < j and leg not in b for b in p.blocks for i in b for j in b)
+                }
+                assert _inner_legs(p) == brute
 
 
 class TestCrossingOracle:
     def test_exhaustive_crossing_oracle(self):
         # blocks i < j cross iff some a < b < c < d has a, c in one block and
-        # b, d in the other; faces play no part, so one word per length
+        # b, d in the other, and a partition is noncrossing iff no two blocks
+        # cross; faces play no part, so one word per length
         for n in range(1, 7):
             for p in enumerate_partitions("w" * n):
-                idx = p._block_index
+                idx, blocks = p._block_index, p.blocks
                 brute = {
                     tuple(sorted((idx[a], idx[b])))
                     for a, b, c, d in itertools.combinations(range(1, n + 1), 4)
                     if idx[a] == idx[c] != idx[b] == idx[d]
                 }
-                assert _analysis(p).crossings == brute
+                got = {(i, j) for i, j in itertools.combinations(range(len(blocks)), 2) if _cross(blocks[i], blocks[j])}
+                assert got == brute
+                assert _is_noncrossing(p) == (not brute)
 
 
 class TestLocalRewrites:
