@@ -67,7 +67,6 @@ from .cumulants import (
 )
 from .product import (
     BlockStructure,
-    MultilinearPoly,
     Product,
     associativity_symmetry_check,
     coarsest_refinements_in_class,

@@ -18,7 +18,7 @@ from .classify import BudgetExceeded, Deformed, classify_pattern, closure_genera
 from .cumulants import table_from_json
 from .partitions import PartitionError, enumerate_partitions, parse_diagram
 from .product import Product, combinatorial_moment
-from .weights import BasicCoefficients, check_admissible, family_from_json, json_expect
+from .weights import EPS, BasicCoefficients, check_admissible, family_from_json, json_expect
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -200,7 +200,7 @@ def cmd_product(args) -> int:
             raise SystemExit_(EXIT_MALFORMED, "--combinatorial needs a class-indicator family")
         cm = combinatorial_moment(family.class_id, factors, word)
         out["combinatorial"] = {"re": cm.real, "im": cm.imag}
-        out["cross_check"] = abs(cm - value) <= 1e-9
+        out["cross_check"] = abs(cm - value) <= EPS
         if not out["cross_check"]:
             _emit(out, args.pretty)
             return EXIT_FAILED

@@ -26,7 +26,7 @@ import math
 import random
 from typing import Callable, Iterable, Sequence
 
-from .partitions import pure_plan, set_partitions
+from .partitions import Partition, pure_plan, set_partitions
 from .weights import WeightFamily, json_complex, json_expect
 
 # A generator letter is (face, name); a word is a tuple of letters.
@@ -46,8 +46,8 @@ class FunctionalTable:
     """A truncated linear functional: word of generators -> complex value.
 
     Backed either by a dense dict over all words up to the degree bound or
-    by a value function (used for the tables built from proofs: all-ones,
-    Kronecker, unit-extended, substituted).
+    by a value function (used for the tables built from proofs: delta
+    functionals, direct sums, merged letters, unit-extended, substituted).
     """
 
     def __init__(
@@ -162,25 +162,29 @@ def log_alpha(family: WeightFamily, phi: FunctionalTable) -> FunctionalTable:
 def moment_via_ordered_relation(family: WeightFamily, cumulants: FunctionalTable, word: Word) -> complex:
     """The ordered-partition form of the moment-cumulant relation.
 
-    Sums over ordered partitions with the 1/k! prefactor; for
+    Sums over ordered set partitions with the 1/k! prefactor; for
     block-permutation-invariant weights this agrees with the unordered form.
+    The ordered partitions are enumerated here, the first block being any
+    nonempty subset of the remaining legs, and each weight is read through
+    ``evaluate``: the route shares no enumeration with ``exp_alpha`` and
+    ``log_alpha`` (neither ``set_partitions`` nor ``pure_plan``).
     """
     faces = faces_of(word)
+
+    def ordered(rest: tuple[int, ...]) -> Iterable[tuple[tuple[int, ...], ...]]:
+        if not rest:
+            yield ()
+        for r in range(1, len(rest) + 1):
+            for first in itertools.combinations(rest, r):
+                remaining = tuple(leg for leg in rest if leg not in first)
+                for tail in ordered(remaining):
+                    yield (first,) + tail
+
     total = 0
-    cache: dict[Word, complex] = {}
-    for blocks in set_partitions(len(word)):
-        prod = 1
-        for b in blocks:
-            w = cumulants.restricted(word, b)
-            if w not in cache:
-                cache[w] = cumulants.value(w)
-            prod *= cache[w]
-        k = len(blocks)
-        fact = 1
-        for i in range(2, k + 1):
-            fact *= i
-        for _ordering in itertools.permutations(range(k)):
-            total += family.weight(faces, blocks) * prod / fact
+    for blocks in ordered(tuple(range(1, len(word) + 1))):
+        a = family.evaluate(Partition(faces, blocks))
+        cumulant_product = math.prod(cumulants.value(cumulants.restricted(word, b)) for b in blocks)
+        total += a * cumulant_product / math.factorial(len(blocks))
     return total
 
 

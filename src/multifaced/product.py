@@ -29,10 +29,11 @@ patterns that relabel each other share a slot, and equal plans of other
 slots, classes and face words are one object.  Per word only the factor
 moments of the meets' blocks are read.
 
-Coefficient extraction follows the linearization construction: factors carry
-the all-ones functional scaled by a formal nilpotent marker, and the product
-moment's coefficient on the product of all markers is the highest
-coefficient of the block pattern.
+Coefficient extraction follows the delta-functional construction: factor
+kappa's table is 1 on exactly the block subwords of one partition inside
+factor kappa and 0 elsewhere, so the product moment is that partition's
+coefficient.  On the partition's own block structure it is the highest
+coefficient, the weight.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .classes import ClassId, member
 from .classify import BudgetExceeded
@@ -60,73 +61,6 @@ from .weights import EPS, WeightFamily, is_singleton_inductive
 # A tagged letter is (factor index, face, name); factor indices are 1-based.
 TaggedLetter = tuple[int, str, str]
 TaggedWord = tuple[TaggedLetter, ...]
-
-
-# -- formal nilpotent markers ------------------------------------------------------
-
-
-class MultilinearPoly:
-    """Polynomial in commuting markers t_1..t_k, truncated to multidegree <= 1.
-
-    Terms are keyed by frozen marker sets; products with a repeated marker
-    are dropped, which realizes the mixed partial derivative at zero.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[frozenset, complex] | None = None):
-        self.terms = terms or {}
-
-    @classmethod
-    def marker(cls, k: int, scale: complex = 1.0) -> "MultilinearPoly":
-        return cls({frozenset((k,)): complex(scale)})
-
-    @classmethod
-    def const(cls, c: complex) -> "MultilinearPoly":
-        return cls({frozenset(): complex(c)} if c != 0 else {})
-
-    def coefficient(self, markers: Iterable[int]) -> complex:
-        return self.terms.get(frozenset(markers), complex(0))
-
-    def _as_poly(self, other) -> "MultilinearPoly":
-        if isinstance(other, MultilinearPoly):
-            return other
-        return MultilinearPoly.const(other)
-
-    def __add__(self, other):
-        other = self._as_poly(other)
-        out = dict(self.terms)
-        for key, v in other.terms.items():
-            out[key] = out.get(key, 0) + v
-        return MultilinearPoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-self._as_poly(other))
-
-    def __rsub__(self, other):
-        return self._as_poly(other) + (-self)
-
-    def __neg__(self):
-        return MultilinearPoly({k: -v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        other = self._as_poly(other)
-        out: dict[frozenset, complex] = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                if k1 & k2:
-                    continue  # repeated marker: truncated away
-                key = k1 | k2
-                out[key] = out.get(key, 0) + v1 * v2
-        return MultilinearPoly(out)
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        items = sorted(self.terms.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-        return "Poly(" + " + ".join(f"{v:.3g}*t{sorted(k)}" for k, v in items) + ")"
 
 
 # -- block structures ---------------------------------------------------------------
@@ -343,35 +277,17 @@ def associativity_symmetry_check(
 # -- coefficient extraction --------------------------------------------------------------
 
 
-def _all_ones_marker_table(kappa: int, generators: Sequence[Letter], degree: int) -> FunctionalTable:
-    scaled = MultilinearPoly.marker(kappa)
-    return FunctionalTable(generators, degree, fn=lambda word: scaled)
-
-
 def extract_highest_coefficient(family: WeightFamily, p: Partition):
     """Recover the weight of a partition from the product engine alone.
 
-    Builds the block structure of the partition (factor kappa is its block
-    kappa, in canonical order), gives every factor the all-ones functional
-    scaled by a fresh nilpotent marker, and reads off the coefficient of the
-    product of all markers in the product moment.  The weights do not depend
-    on an order of the blocks, so no other order can give another value.
+    The full coefficient of p in its own block structure (factor kappa is
+    block kappa, in canonical order): every factor cumulant but that of the
+    whole block is 0, so the product moment is the weight.  The weights do
+    not depend on an order of the blocks, so no other order can give
+    another value.
     """
-    if p.block_count == 0:
-        return complex(1)
-    b = tuple(p._block_index[leg] + 1 for leg in range(1, p.n + 1))
-    k = p.block_count
-    generators = [[] for _ in range(k)]
-    word: list[TaggedLetter] = []
-    for leg in range(1, p.n + 1):
-        g: Letter = (p.word[leg - 1], f"g{leg}")
-        generators[b[leg - 1] - 1].append(g)
-        word.append((b[leg - 1], g[0], g[1]))
-    factors = [_all_ones_marker_table(kappa + 1, gens, p.n) for kappa, gens in enumerate(generators)]
-    value = Product(family, factors).moment(tuple(word))
-    if not isinstance(value, MultilinearPoly):
-        value = MultilinearPoly.const(value)
-    return value.coefficient(range(1, k + 1))
+    s = BlockStructure([p._block_index[leg] + 1 for leg in range(1, p.n + 1)], p.word)
+    return extract_full_coefficient(family, s, p)
 
 
 def extract_full_coefficient(family: WeightFamily, s: BlockStructure, p: Partition):

@@ -235,7 +235,19 @@ class WeightFamily:
         return f"<WeightFamily {self.name}>"
 
 
-class ClassIndicatorFamily(WeightFamily):
+class ReductionFamily(WeightFamily):
+    """Weights by canonical reduction to the basic coefficients ``self._bc``."""
+
+    _bc: BasicCoefficients
+
+    def _value(self, p: Partition) -> complex:
+        return _canonical_value(p, self._bc, self.evaluate)
+
+    def basic_coefficients(self) -> BasicCoefficients:
+        return self._bc
+
+
+class ClassIndicatorFamily(ReductionFamily):
     """Indicator weights of one of the twelve two-faced classes."""
 
     kind = "class"
@@ -245,17 +257,11 @@ class ClassIndicatorFamily(WeightFamily):
         self.class_id = class_id
         self._bc = BasicCoefficients.from_diagrams(lambda d: complex(member(class_id, d)))
 
-    def _value(self, p: Partition) -> complex:
-        return _canonical_value(p, self._bc, self.evaluate)
-
-    def basic_coefficients(self) -> BasicCoefficients:
-        return self._bc
-
     def descriptor(self) -> dict:
         return {"kind": "class", "class": self.class_id.value}
 
 
-class DeformedFamily(WeightFamily):
+class DeformedFamily(ReductionFamily):
     """One-parameter deformation of the tensor, free or bifree pattern.
 
     ``zeta`` is renormalized to the unit circle on input; the bicolor basic
@@ -287,12 +293,6 @@ class DeformedFamily(WeightFamily):
             nu = {(w, w): one, (b, b): one, (w, b): zero, (b, w): zero}
             xi = {(w, w): zero, (b, b): zero, (w, b): zc, (b, w): zeta}
         self._bc = BasicCoefficients(nu, xi)
-
-    def _value(self, p: Partition) -> complex:
-        return _canonical_value(p, self._bc, self.evaluate)
-
-    def basic_coefficients(self) -> BasicCoefficients:
-        return self._bc
 
     def descriptor(self) -> dict:
         return {

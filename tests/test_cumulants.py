@@ -27,9 +27,10 @@ from multifaced.cumulants import (
     table_to_json,
     unit_extended_table,
 )
+from multifaced import cumulants, partitions
 from multifaced.partitions import set_partitions
 from multifaced.verify import stock_families
-from multifaced.weights import ClassIndicatorFamily, DeformedFamily
+from multifaced.weights import EPS, ClassIndicatorFamily, DeformedFamily
 
 FAMS = [
     ClassIndicatorFamily(ClassId.A),
@@ -205,6 +206,31 @@ class TestOrderedForm:
         c = log_alpha(fam, t)
         for w in t.words(4):
             assert abs(moment_via_ordered_relation(fam, c, w) - t.value(w)) < 1e-9
+
+    def test_fails_when_the_enumeration_drops_a_partition(self):
+        # set_partitions(4) without its last partition, the four singletons:
+        # log_alpha then gives wrong cumulants, and only a route that does
+        # not enumerate through set_partitions can see it.
+        real = partitions.set_partitions
+        caches = (partitions.pure_plan, partitions.partition_index)
+
+        def dropped(n):
+            return real(n)[:-1] if n == 4 else real(n)
+
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(partitions, "set_partitions", dropped)
+                mp.setattr(cumulants, "set_partitions", dropped)
+                fam = ClassIndicatorFamily(ClassId.I)
+                t = random_table(GENS, 4, rng())
+                c = log_alpha(fam, t)
+                worst = max(abs(moment_via_ordered_relation(fam, c, w) - t.value(w)) for w in t.words(4))
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        assert worst > EPS
 
 
 class TestDirectSum:
