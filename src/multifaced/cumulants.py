@@ -112,9 +112,9 @@ def exp_alpha(family: WeightFamily, psi: FunctionalTable) -> FunctionalTable:
         n = len(word)
         faces = faces_of(word)
         parts = set_partitions(n)
-        subsets, terms = pure_plan((1,) * n)
+        _, subsets, terms = pure_plan((1,) * n)
         leg = word.__getitem__
-        cumulants = [psi.value(tuple(map(leg, positions))) for _, positions in subsets]
+        cumulants = [psi.value(tuple(map(leg, positions))) for _, positions, _ in subsets]
         total = 0
         for j, ids in terms:
             a = weight(faces, parts[j])
@@ -134,13 +134,13 @@ def cumulant(family: WeightFamily, table: FunctionalTable, word: Word, cache: di
     if n > 1:
         faces = faces_of(word)
         parts = set_partitions(n)
-        subsets, terms = pure_plan((1,) * n)
+        _, subsets, terms = pure_plan((1,) * n)
         leg = word.__getitem__
         # subsets[0] is the whole word, a block of terms[0] only: the
         # one-block partition, whose cumulant is the unknown solved for.
         # The cache is read here, so only a missing subword costs a call.
         cumulants = [None]
-        for _, positions in subsets[1:]:
+        for _, positions, _ in subsets[1:]:
             sub = tuple(map(leg, positions))
             got = cache.get(sub)
             cumulants.append(cumulant(family, table, sub, cache) if got is None else got)

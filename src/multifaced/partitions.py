@@ -318,13 +318,15 @@ def partition_index(n: int) -> dict[Blocks, int]:
 def pure_plan(b: tuple[int, ...]) -> tuple:
     """The summation plan of the factor pattern b (the factor of each leg).
 
-    A partition is factor-pure if each of its blocks lies inside one
-    factor.  ``subsets`` lists every block such a partition can have, as
-    ``(factor - 1, 0-based positions)``.  ``terms`` lists the factor-pure
-    partitions in enumeration order (factor by factor through
-    ``set_partitions``, blocks sorted by first leg) as ``(j, ids)``: the
-    partition is ``set_partitions(n)[j]`` and ``ids`` index its blocks in
-    ``subsets``, in block order.
+    ``groups`` lists, for each factor present in order of first appearance,
+    ``(factor - 1, 0-based positions)``.  A partition is factor-pure if each
+    of its blocks lies inside one factor.  ``subsets`` lists every block such
+    a partition can have, as ``(factor - 1, 0-based positions, mask)``: bit i
+    of ``mask`` is set if the block holds the factor's i-th position in
+    ``groups``.  ``terms`` lists the factor-pure partitions in enumeration
+    order (factor by factor through ``set_partitions``, blocks sorted by
+    first leg) as ``(j, ids)``: the partition is ``set_partitions(n)[j]``
+    and ``ids`` index its blocks in ``subsets``, in block order.
 
     For one factor, ``b = (1,) * n``, the terms are all of
     ``set_partitions(n)`` in order; ``terms[0]`` is the one-block partition
@@ -334,6 +336,7 @@ def pure_plan(b: tuple[int, ...]) -> tuple:
     for i, v in enumerate(b, start=1):
         groups.setdefault(v, []).append(i)
     position_groups = list(groups.values())
+    bit = {leg: 1 << i for legs in position_groups for i, leg in enumerate(legs)}
     index = partition_index(len(b))
     subset_ids: dict[Block, int] = {}
     subsets = []
@@ -348,10 +351,11 @@ def pure_plan(b: tuple[int, ...]) -> tuple:
             s = subset_ids.get(block)
             if s is None:
                 s = subset_ids[block] = len(subsets)
-                subsets.append((b[block[0] - 1] - 1, tuple(leg - 1 for leg in block)))
+                subsets.append((b[block[0] - 1] - 1, tuple(leg - 1 for leg in block), sum(map(bit.__getitem__, block))))
             ids.append(s)
         terms.append((index[tuple(blocks)], tuple(ids)))
-    return tuple(subsets), tuple(terms)
+    factor_groups = tuple((v - 1, tuple(leg - 1 for leg in legs)) for v, legs in groups.items())
+    return factor_groups, tuple(subsets), tuple(terms)
 
 
 def enumerate_partitions(word: str) -> Iterator[Partition]:

@@ -9,15 +9,21 @@ words), so only factor-pure partitions are enumerated.
 
 The sum is driven by ``partitions.pure_plan(b)``, the plan of the factor
 pattern b (the factor index of each letter), independent of the family and
-the faces: the nonempty subsets of each factor's positions, and the
-factor-pure partitions as indices into ``set_partitions(n)`` with the
-subsets that are their blocks.  ``exp_alpha`` and ``cumulant`` read the
-one-factor plan ``pure_plan((1,) * n)``, so the three transforms share one
-plan type.  Per word, ``Product.moment`` looks up one cumulant per subset,
-reads the weights from a row per face word, and multiplies each term
-weight first, blocks in order.  It is the one summation loop: given an
-``expansion`` list it also records each partition's weight and contribution,
-which ``multifaced product --explain`` prints.
+the faces: each factor's positions, the nonempty subsets of them with
+their position masks, and the factor-pure partitions as indices into
+``set_partitions(n)`` with the subsets that are their blocks.
+``exp_alpha`` and ``cumulant`` read the one-factor plan
+``pure_plan((1,) * n)``, so the three transforms share one plan type.
+
+The only input that depends on the word is the cumulant of each factor's
+subsequences.  A ``Product`` keeps them as one vector per (factor, factor
+subword), indexed by position mask and filled once from the factor's
+cumulant memo.  Per word, ``Product.moment`` builds one subword tuple per
+factor present and reads that factor's vector, picks each block's cumulant
+by its mask, reads the weights from a row per face word, and multiplies
+each term weight first, blocks in order.  It is the one summation loop:
+given an ``expansion`` list it also records each partition's weight and
+contribution, which ``multifaced product --explain`` prints.
 
 The inclusion-exclusion route for a 0/1 family (``combinatorial_moment``)
 is driven by a plan per (class, face word, factor partition): the number of
@@ -123,11 +129,19 @@ class Product:
 
     Factor generator sets must be pairwise disjoint.  A moment is summed
     over ``pure_plan(b)``, the plan of its factor pattern b, shared with
-    every other ``Product``.  Each instance keeps the factor cumulants,
-    one memo dict per factor, and one weight row per face word: slot j of
-    the row holds ``family.weight`` of ``set_partitions(n)[j]``, read on
-    first use, so the family is asked only for factor-pure partitions and
-    its own memo stays the one weight store.
+    every other ``Product``.  Each instance keeps:
+
+    * per factor, one cumulant memo dict keyed by untagged words, the store
+      the ``cumulant`` recursion reads and fills;
+    * per factor, one cumulant vector per factor subword (the tagged letters
+      of a word at that factor's positions): slot ``mask`` holds the
+      cumulant of the subsequence whose positions are the set bits of
+      ``mask``, filled once from the memo, so a word reads each of its block
+      cumulants by the block's mask in the plan;
+    * one weight row per face word: slot j holds ``family.weight`` of
+      ``set_partitions(n)[j]``, read on first use, so the family is asked
+      only for factor-pure partitions and its own memo stays the one weight
+      store.
     """
 
     def __init__(self, family: WeightFamily, factors: Sequence[FunctionalTable]):
@@ -139,12 +153,22 @@ class Product:
             if dup:
                 raise ValueError(f"factor generator sets overlap: {sorted(dup)}")
             seen.update(t.generators)
-        self._owner = {g: i + 1 for i, t in enumerate(self.factors) for g in t.generators}
+        self._tagged = {g: (i + 1, g[0], g[1]) for i, t in enumerate(self.factors) for g in t.generators}
         self._cum_cache: list[dict[Word, complex]] = [dict() for _ in self.factors]
+        self._vectors: list[dict[TaggedWord, list]] = [dict() for _ in self.factors]
         self._weight_rows: dict[str, list] = {}
 
     def tag(self, word: Word) -> TaggedWord:
-        return tuple((self._owner[g], g[0], g[1]) for g in word)
+        return tuple(map(self._tagged.__getitem__, word))
+
+    def _vector(self, f: int, sub: TaggedWord) -> list:
+        """The cumulants of the subsequences of factor f's subword, by mask."""
+        letters = tuple(t[1:] for t in sub)
+        table, cache, m = self.factors[f], self._cum_cache[f], len(letters)
+        vec = [None] * (1 << m)
+        for mask in range(1, 1 << m):
+            vec[mask] = cumulant(self.family, table, tuple(letters[i] for i in range(m) if mask >> i & 1), cache)
+        return vec
 
     def moment(self, word: TaggedWord, expansion: list | None = None):
         """The product moment of a tagged word.
@@ -157,23 +181,25 @@ class Product:
         contribution 0.  The value is then always the sum over the
         partitions, also on words of one factor.
         """
-        b, fs, names = zip(*word) if word else ((), (), ())
-        letters = tuple(zip(fs, names))
+        b, fs, _ = zip(*word) if word else ((), (), ())
         if expansion is None:
             if not word:
                 return complex(1)
             if b.count(b[0]) == len(b):
                 # Restriction property: single-factor words are factor moments.
-                return self.factors[b[0] - 1].value(letters)
+                return self.factors[b[0] - 1].value(tuple(t[1:] for t in word))
         faces = "".join(fs)
-        subsets, terms = pure_plan(b)
-        caches = self._cum_cache
-        leg = letters.__getitem__
-        cv = [caches[f].get(tuple(map(leg, positions))) for f, positions in subsets]
-        if None in cv:
-            for s, (f, positions) in enumerate(subsets):
-                if cv[s] is None:
-                    cv[s] = cumulant(self.family, self.factors[f], tuple(map(leg, positions)), caches[f])
+        groups, subsets, terms = pure_plan(b)
+        leg = word.__getitem__
+        vectors = self._vectors
+        vecs = [None] * len(vectors)
+        for f, positions in groups:
+            sub = tuple(map(leg, positions))
+            vec = vectors[f].get(sub)
+            if vec is None:
+                vec = vectors[f][sub] = self._vector(f, sub)
+            vecs[f] = vec
+        cv = [vecs[f][mask] for f, _, mask in subsets]
         parts = set_partitions(len(word))
         row = self._weight_rows.get(faces)
         if row is None:

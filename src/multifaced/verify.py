@@ -188,8 +188,13 @@ def criterion_example_moment(seed: int = 0) -> dict:
 
 
 def criterion_reconstruction(seed: int = 0, trials: int = 20, max_len: int = 5) -> dict:
-    """Well-definedness, associativity, symmetry, exact restriction, and
-    coefficient extraction against direct evaluation, for every stock family."""
+    """Well-definedness, associativity, symmetry, restriction, and
+    coefficient extraction against direct evaluation, for every stock family.
+
+    Restriction is checked twice on the same single-factor words: exactly
+    through the short-circuit of ``Product.moment`` (``restriction_exact``),
+    and through the full sum over the word's partitions
+    (``worst_restriction_full_sum``), which a non-monic family fails."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
     g1 = standard_generators(per_face=1, prefix="a")
@@ -200,6 +205,7 @@ def criterion_reconstruction(seed: int = 0, trials: int = 20, max_len: int = 5) 
     worst_assoc = 0.0
     worst_sym = 0.0
     restriction_exact = True
+    worst_full_sum = 0.0
     worst_extract = 0.0
     for fam in stock_families():
         for trial in range(trials):
@@ -223,13 +229,17 @@ def criterion_reconstruction(seed: int = 0, trials: int = 20, max_len: int = 5) 
                 r = well_definedness_check(fam, (t1, t2), word, rng.choice(pos))
                 worst_wd = max(worst_wd, r["diff"])
                 used += 1
-            # restriction: single-factor words must hit the table exactly
+            # restriction: single-factor words must hit the table, exactly
+            # through the short-circuit and up to EPS through the full sum
+            prod = Product(fam, (t1, t2))
             for _ in range(3):
                 n = rng.randint(1, max_len)
                 letters = tuple(rng.choice(g1) for _ in range(n))
                 tagged = tuple((1, g[0], g[1]) for g in letters)
-                if product_moment(fam, (t1, t2), tagged) != t1.value(letters):
+                want = t1.value(letters)
+                if prod.moment(tagged) != want:
                     restriction_exact = False
+                worst_full_sum = max(worst_full_sum, abs(prod.moment(tagged, expansion=[]) - want))
             r = associativity_symmetry_check(fam, t1, t2, t3, max_len)
             worst_assoc = max(worst_assoc, r["worst_associativity"])
             worst_sym = max(worst_sym, r["worst_symmetry"])
@@ -241,6 +251,7 @@ def criterion_reconstruction(seed: int = 0, trials: int = 20, max_len: int = 5) 
         and worst_assoc <= EPS
         and worst_sym <= EPS
         and restriction_exact
+        and worst_full_sum <= EPS
         and worst_extract <= EPS
     )
     return _report(
@@ -251,6 +262,7 @@ def criterion_reconstruction(seed: int = 0, trials: int = 20, max_len: int = 5) 
         worst_associativity=worst_assoc,
         worst_symmetry=worst_sym,
         restriction_exact=restriction_exact,
+        worst_restriction_full_sum=worst_full_sum,
         worst_extract_vs_evaluate=worst_extract,
     )
 

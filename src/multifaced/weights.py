@@ -345,7 +345,13 @@ class PredicateFamily(WeightFamily):
 
 
 def family_from_json(obj: dict) -> WeightFamily:
-    """Build a weight family from its JSON descriptor."""
+    """Build a weight family from its JSON descriptor.
+
+    A table descriptor must be total: one entry for every partition with at
+    most ``max_legs`` legs, none with more and none twice.  Otherwise
+    ValueError names the first offending partition: the first entry that is
+    too long or repeated, else the first missing partition in sweep order.
+    """
     kind = json_expect(obj, "an object", "weight family").get("kind")
     if kind == "class":
         return ClassIndicatorFamily(ClassId(obj["class"]))
@@ -357,12 +363,22 @@ def family_from_json(obj: dict) -> WeightFamily:
             zeta = json_complex(z, "zeta")
         return DeformedFamily(obj["base"], zeta)
     if kind == "table":
+        max_legs = json_expect(obj["max_legs"], "an integer", "max_legs")
         entries = {}
         for e in json_expect(obj["entries"], "a list", "table entries"):
             json_expect(e, "an object", "table entry")
             p = parse_diagram(json_expect(e["partition"], "a string", "table entry partition"))
+            if p.n > max_legs:
+                raise ValueError(f"table entry {p} has {p.n} legs, more than max_legs {max_legs}")
+            if p in entries:
+                raise ValueError(f"duplicate table entry for {p}")
             entries[p] = json_complex(e["value"], f"value of {p}")
-        return TableFamily(entries, json_expect(obj["max_legs"], "an integer", "max_legs"))
+        # Stops at the first gap, so it reads at most one partition more
+        # than the table has entries.
+        for p in partitions_upto(max_legs):
+            if p not in entries:
+                raise ValueError(f"table has no entry for {p}")
+        return TableFamily(entries, max_legs)
     raise ValueError(f"unknown weight family kind {kind!r}")
 
 

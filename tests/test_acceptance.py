@@ -8,6 +8,8 @@ The same reports back the ``multifaced verify`` command.
 import pytest
 
 from multifaced import verify
+from multifaced.classes import ClassId, member
+from multifaced.weights import EPS, WeightFamily
 
 
 def _check(report):
@@ -45,6 +47,28 @@ def test_criterion_5_reconstruction():
     # well-definedness, associativity, symmetry, exact restriction, and
     # coefficient extraction against evaluation, twenty table sets per family
     _check(verify.criterion_reconstruction(seed=0, trials=20, max_len=5))
+
+
+class NonMonicFamily(WeightFamily):
+    """NC indicator weights, except 1.5 on one-block partitions."""
+
+    kind = "non-monic"
+
+    def _value(self, p):
+        return complex(1.5) if p.block_count == 1 else complex(member(ClassId.NC, p))
+
+
+def test_criterion_5_restriction_full_sum(monkeypatch):
+    # the full sum over a single-factor word's partitions restricts to the
+    # factor for the stock families; a non-monic family passes the exact
+    # short-circuit check and fails the full sum
+    report = verify.criterion_reconstruction(seed=0, trials=1, max_len=3)
+    assert report["pass"] and report["worst_restriction_full_sum"] <= EPS
+    monkeypatch.setattr(verify, "stock_families", lambda: [NonMonicFamily()])
+    report = verify.criterion_reconstruction(seed=0, trials=1, max_len=3)
+    assert report["restriction_exact"] is True
+    assert report["worst_restriction_full_sum"] > 0.1
+    assert report["pass"] is False
 
 
 @pytest.mark.slow

@@ -82,11 +82,27 @@ class TestCheckAdmissible:
 
     def test_table_family_missing_entries(self, capsys):
         # an explicit table that stops at two legs cannot be checked at four
+        from multifaced.partitions import partitions_upto
+
+        entries = [{"partition": str(p), "value": 1} for p in partitions_upto(2)]
+        fam = {"kind": "table", "max_legs": 2, "entries": entries}
+        code, out, _ = run(capsys, "check-admissible", "--family", json.dumps(fam), "--max-legs", "2")
+        assert code == 0 and json.loads(out)["pass"] is True
+        code, out, err = run(capsys, "check-admissible", "--family", json.dumps(fam), "--max-legs", "4")
+        assert code == 1 and out == "" and "table stops at 2" in err
+
+    def test_partial_table_rejected(self, capsys):
+        # a table that is not total up to its max_legs is malformed input
         fam = {"kind": "table", "max_legs": 2, "entries": [
-            {"partition": "ww/12", "value": {"re": 1, "im": 0}},
+            {"partition": "wb/12", "value": {"re": 1, "im": 0}},
         ]}
-        code, _, err = run(capsys, "check-admissible", "--family", json.dumps(fam), "--max-legs", "4")
-        assert code == 1
+        code, out, err = run(capsys, "check-admissible", "--family", json.dumps(fam), "--max-legs", "2")
+        assert code == 1 and out == "" and "malformed input: table has no entry for w/1" in err
+
+    def test_readme_table_descriptor(self, capsys):
+        fam = {"kind": "table", "max_legs": 1, "entries": [{"partition": "w/1", "value": 1}, {"partition": "b/1", "value": {"re": 1, "im": 0}}]}
+        code, out, _ = run(capsys, "check-admissible", "--family", json.dumps(fam), "--max-legs", "1")
+        assert code == 0 and json.loads(out)["pass"] is True
 
     def test_wrong_shape_rejected(self, capsys):
         code, out, err = run(capsys, "check-admissible", "--family", "[1]")

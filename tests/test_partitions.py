@@ -73,7 +73,7 @@ class TestPurePlan:
     def test_terms_are_the_factor_pure_partitions(self, n):
         parts = set_partitions(n)
         for b in itertools.product(range(1, 4), repeat=n):
-            subsets, terms = pure_plan(b)
+            _, subsets, terms = pure_plan(b)
             pure = [j for j, blocks in enumerate(parts) if all(len({b[leg - 1] for leg in blk}) == 1 for blk in blocks)]
             assert sorted(j for j, _ in terms) == pure
             assert len(set(subsets)) == len(subsets)
@@ -81,13 +81,31 @@ class TestPurePlan:
                 assert tuple(tuple(i + 1 for i in subsets[s][1]) for s in ids) == parts[j]
                 assert all(subsets[s][0] == b[subsets[s][1][0]] - 1 for s in ids)
 
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_groups_and_masks(self, n):
+        # groups: each factor's positions, factors by first appearance; a
+        # subset's mask selects exactly its positions among its factor's,
+        # and every nonempty subset of a factor's positions is a subset
+        for b in itertools.product(range(1, 4), repeat=n):
+            groups, subsets, _ = pure_plan(b)
+            first = list(dict.fromkeys(b))
+            assert groups == tuple((v - 1, tuple(i for i in range(n) if b[i] == v)) for v in first)
+            positions = dict(groups)
+            for f, subset, mask in subsets:
+                legs = positions[f]
+                assert subset == tuple(legs[i] for i in range(len(legs)) if mask >> i & 1)
+            assert sorted((f, mask) for f, _, mask in subsets) == sorted(
+                (f, mask) for f, legs in groups for mask in range(1, 1 << len(legs))
+            )
+
     @pytest.mark.parametrize("n,bell", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52)])
     def test_one_factor_plan_is_every_partition(self, n, bell):
-        subsets, terms = pure_plan((1,) * n)
+        groups, subsets, terms = pure_plan((1,) * n)
+        assert groups == ((0, tuple(range(n))),)
         assert len(subsets) == 2**n - 1
         assert [j for j, _ in terms] == list(range(bell))
         # cumulant skips terms[0]: the one-block partition, whose block is subsets[0]
-        assert terms[0] == (0, (0,)) and subsets[0] == (0, tuple(range(n)))
+        assert terms[0] == (0, (0,)) and subsets[0] == (0, tuple(range(n)), 2**n - 1)
 
 
 class TestSweep:

@@ -17,6 +17,7 @@ from multifaced.partitions import (
     meet,
     parse_diagram,
     partitions_upto,
+    pure_plan,
     refinements,
     set_partitions,
 )
@@ -297,6 +298,73 @@ class TestProductMoment:
         letters = tuple(tables[kappa - 1].generators[i] for i in picks)
         got = Product(fam, tables).moment(tuple((kappa, f, name) for f, name in letters), expansion=[])
         assert abs(got - tables[kappa - 1].value(letters)) < 1e-9
+
+
+def per_subset_moment(prod, word, expansion=None):
+    """Product.moment as it was summed before the cumulant vectors: one
+    subword tuple and one cumulant read per subset of the plan."""
+    b, fs, names = zip(*word) if word else ((), (), ())
+    letters = tuple(zip(fs, names))
+    if expansion is None:
+        if not word:
+            return complex(1)
+        if b.count(b[0]) == len(b):
+            return prod.factors[b[0] - 1].value(letters)
+    faces = "".join(fs)
+    _, subsets, terms = pure_plan(b)
+    caches = [{} for _ in prod.factors]
+    cv = [cumulant(prod.family, prod.factors[f], tuple(letters[i] for i in positions), caches[f]) for f, positions, _ in subsets]
+    parts = set_partitions(len(word))
+    total = 0
+    for j, ids in terms:
+        a = prod.family.weight(faces, parts[j])
+        term = 0
+        if a != 0:
+            term = math.prod(map(cv.__getitem__, ids), start=a)
+            total = term + total
+        if expansion is not None:
+            expansion.append({"partition": str(Partition._unsafe(faces, parts[j])), "weight": a, "contribution": term})
+    return total
+
+
+class TestCumulantVectors:
+    @pytest.mark.parametrize("fam", STOCK + [ConstantBlockFamily(0.7)], ids=lambda f: f.name)
+    def test_equals_per_subset_route(self, fam):
+        # bit for bit, on the empty word and every word of at most four
+        # letters over three factors, with and without the expansion rows
+        r = rng()
+        tables = tuple(random_table(g, 4, r) for g in (G1, G2, G3))
+        prod = Product(fam, tables)
+        tagged_letters = [(kappa, f, name) for kappa, g in enumerate((G1, G2, G3), start=1) for f, name in g]
+        words = [w for n in range(5) for w in itertools.product(tagged_letters, repeat=n)]
+        assert len(words) == 1 + 6 + 36 + 216 + 1296
+        for word in words:
+            assert repr(prod.moment(word)) == repr(per_subset_moment(prod, word))
+            rows, want_rows = [], []
+            assert repr(prod.moment(word, rows)) == repr(per_subset_moment(prod, word, want_rows))
+            assert repr(rows) == repr(want_rows)
+
+    def test_slots_are_subsequence_cumulants(self):
+        # each slot of a vector is the cumulant of the subsequence at the
+        # set bits of its mask; slot 0, the empty subsequence, is never read
+        fam = DeformedFamily("bifree", cmath.exp(0.4j))
+        r = rng()
+        tables = tuple(random_table(g, 5, r) for g in (G1, G2, G3))
+        prod = Product(fam, tables)
+        for _ in range(200):
+            prod.moment(rand_tagged_word(r, (G1, G2, G3), r.randint(2, 5)))
+        seen = 0
+        for f, vectors in enumerate(prod._vectors):
+            cache = {}
+            for sub, vec in vectors.items():
+                assert all(t[0] == f + 1 for t in sub)
+                letters = tuple(t[1:] for t in sub)
+                assert len(vec) == 2 ** len(sub)
+                for mask in range(1, len(vec)):
+                    picked = tuple(letters[i] for i in range(len(sub)) if mask >> i & 1)
+                    assert vec[mask] == cumulant(fam, tables[f], picked, cache)
+                    seen += 1
+        assert seen > 100
 
 
 class TestWellDefinedness:

@@ -4,11 +4,12 @@ import cmath
 import json
 import math
 import random
+import re
 
 import pytest
 
 from multifaced.classes import ALL_CLASSES, ClassId, member
-from multifaced.partitions import Partition, all_words, concatenate, enumerate_partitions, parse_diagram
+from multifaced.partitions import Partition, all_words, concatenate, enumerate_partitions, parse_diagram, partitions_upto
 from multifaced.weights import (
     EPS,
     BasicCoefficients,
@@ -283,11 +284,28 @@ class TestFamilyJson:
         assert approx(fam.zeta, 1)
 
     def test_table_descriptor(self):
-        p = parse_diagram("wb/12")
-        q = parse_diagram("wb/1|2")
-        fam = TableFamily({p: 1.0 + 0j, q: 1.0 + 0j}, max_legs=2)
+        entries = {p: complex(k, -k) for k, p in enumerate(partitions_upto(2))}
+        fam = TableFamily(entries, max_legs=2)
         back = family_from_json(json.loads(json.dumps(fam.descriptor())))
-        assert back.evaluate(q) == 1.0
+        assert back.max_legs == 2 and back.entries == entries
+        assert back.evaluate(parse_diagram("wb/1|2")) == entries[parse_diagram("wb/1|2")]
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            # the first missing partition in sweep order is named
+            (lambda e: [x for x in e if x["partition"] != "bw/12"], "table has no entry for bw/12"),
+            (lambda e: e[2:], "table has no entry for w/1"),
+            (lambda e: e + [{"partition": "www/1|23", "value": 1}], "table entry www/1|23 has 3 legs, more than max_legs 2"),
+            (lambda e: e + [{"partition": "wb/21", "value": 1}], "duplicate table entry for wb/12"),
+        ],
+        ids=["missing", "missing-first", "too-long", "duplicate"],
+    )
+    def test_table_must_be_total(self, change, message):
+        entries = [{"partition": str(p), "value": 1} for p in partitions_upto(2)]
+        family_from_json({"kind": "table", "max_legs": 2, "entries": entries})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            family_from_json({"kind": "table", "max_legs": 2, "entries": change(entries)})
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
