@@ -352,11 +352,11 @@ def coarsest_refinements_in_class(c: ClassId, p: Partition) -> list[Partition]:
     """
     if member(c, p):
         return [p]
-    candidates = [q for q in refinements(p) if member(c, q)]
-    candidates.sort(key=lambda q: q.block_count)
+    # Coarsest first: a refinement of a member already kept is not maximal
+    # whether or not it is a member, so membership is tested only on the rest.
     out: list[Partition] = []
-    for q in candidates:
-        if not any(q.refines(r) for r in out):
+    for q in sorted(refinements(p), key=lambda q: q.block_count):
+        if not any(q.refines(r) for r in out) and member(c, q):
             out.append(q)
     return out
 

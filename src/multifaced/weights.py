@@ -10,13 +10,18 @@ Class-indicator and deformed families are evaluated through the canonical
 reduction: reduce, peel the first two legs with the split relation
 ``a(p) = a(p with the two blocks united) * a(two-block subpartition)``, and
 resolve two-block partitions down to the four basic coefficients
-(monochrome/bicolor nesting ``nu`` and crossing ``xi``).
+(monochrome/bicolor nesting ``nu`` and crossing ``xi``).  The path of the
+reduction depends on the partition alone; the family enters only at the
+``nu``/``xi`` leaves.  So the reduction is computed once per partition, as
+one step per ``(word, blocks)`` key in a table all these families share,
+and each family applies the steps with its own basic coefficients.
 
 Every family memoizes its values in one dict keyed by the raw
 ``(word, blocks)`` pair.  ``evaluate(p)`` reads it for a ``Partition``;
 ``weight(faces, blocks)`` reads it for callers that hold only the raw data
-(the transforms and the product engine) and builds a ``Partition`` only on
-a miss.
+(the transforms and the product engine).  A reduction-backed family builds
+a ``Partition`` only for a step new to the shared table, any other family
+only on a miss of its own memo.
 """
 
 from __future__ import annotations
@@ -236,12 +241,36 @@ class WeightFamily:
 
 
 class ReductionFamily(WeightFamily):
-    """Weights by canonical reduction to the basic coefficients ``self._bc``."""
+    """Weights by canonical reduction to the basic coefficients ``self._bc``.
+
+    On a miss of its own memo the family reads the partition's step from the
+    table ``_STEPS`` that all reduction-backed families share, and applies it
+    with its own leaves and its own memo.  A ``Partition`` is built only
+    when the step is new to the table.
+    """
 
     _bc: BasicCoefficients
 
-    def _value(self, p: Partition) -> complex:
-        return _canonical_value(p, self._bc, self.evaluate)
+    def evaluate(self, p: Partition) -> complex:
+        key = (p.word, p.blocks)
+        v = self._cache.get(key)
+        return self._at(key) if v is None else v
+
+    def weight(self, faces: str, blocks: Blocks) -> complex:
+        key = (faces, blocks)
+        v = self._cache.get(key)
+        return self._at(key) if v is None else v
+
+    def _at(self, key: tuple[str, Blocks]) -> complex:
+        """The memoized weight at ``key``; on a miss, the shared step
+        applied to this family's leaves and memo."""
+        v = self._cache.get(key)
+        if v is None:
+            step = _STEPS.get(key)
+            if step is None:
+                step = _STEPS[key] = _canonical_step(Partition._unsafe(*key))
+            v = self._cache[key] = _apply_step(step, self._bc, self._at)
+        return v
 
     def basic_coefficients(self) -> BasicCoefficients:
         return self._bc
@@ -382,11 +411,27 @@ def family_from_json(obj: dict) -> WeightFamily:
     raise ValueError(f"unknown weight family kind {kind!r}")
 
 
-# -- the canonical reduction evaluator ------------------------------------------
+# -- the canonical reduction ------------------------------------------------------
+#
+# A reduction step is the first move of the canonical reduction at one
+# partition, with every partition it names given by its (word, blocks) key:
+#   ("one",)                        weight 1
+#   ("nu", (q, Q)) / ("xi", (q, Q))  a basic coefficient
+#   ("child", key)                  the weight at key
+#   ("product", united, remembered) the weight at united times the weight
+#                                   at remembered, in that order
+# The step depends on the partition alone, so one table serves every
+# reduction-backed family; it holds keys and steps, never a Partition.
+
+_STEPS: dict[tuple[str, Blocks], tuple] = {}
 
 
-def _canonical_value(p: Partition, bc: BasicCoefficients, rec: Callable[[Partition], complex]) -> complex:
-    """Weight of p from its basic coefficients, along the canonical reduction.
+def _key(p: Partition) -> tuple[str, Blocks]:
+    return (p.word, p.blocks)
+
+
+def _canonical_step(p: Partition) -> tuple:
+    """The step of the canonical reduction at p.
 
     Deterministic tie-breaking: always reduce first, then operate at the left
     end (merge before face change before split).  Valid for families that
@@ -395,18 +440,18 @@ def _canonical_value(p: Partition, bc: BasicCoefficients, rec: Callable[[Partiti
     """
     p = p.reduce()
     if p.block_count <= 1 or p.is_interval():
-        return complex(1)
+        return ("one",)
     if p.block_count == 2:
-        return _two_block_value(p, bc, rec)
+        return _two_block_step(p)
     q = p.change_extremal_face("first", p.word[1])
     if p._block_index[1] == p._block_index[2]:
-        return rec(q.merge_legs(1))
+        return ("child", _key(q.merge_legs(1)))
     united, remembered = q.split_at(1)
-    return rec(united) * rec(remembered)
+    return ("product", _key(united), _key(remembered))
 
 
-def _two_block_value(p: Partition, bc: BasicCoefficients, rec: Callable[[Partition], complex]) -> complex:
-    """Resolve a two-block partition to basic coefficients.
+def _two_block_step(p: Partition) -> tuple:
+    """The step that resolves a two-block partition to basic coefficients.
 
     Normalizes both ends (face-change plus merge while the two extremal legs
     of an end share a block), which shrinks any partition of more than four
@@ -416,7 +461,7 @@ def _two_block_value(p: Partition, bc: BasicCoefficients, rec: Callable[[Partiti
     while True:
         p = p.reduce()
         if p.block_count <= 1 or p.is_interval():
-            return complex(1)
+            return ("one",)
         n = p.n
         if p._block_index[1] == p._block_index[2]:
             p = p.change_extremal_face("first", p.word[1]).merge_legs(1)
@@ -427,18 +472,33 @@ def _two_block_value(p: Partition, bc: BasicCoefficients, rec: Callable[[Partiti
         break
     n = p.n
     if n == 3:
-        return bc.nu[(p.word[1], p.word[1])]
+        return ("nu", (p.word[1], p.word[1]))
     if n == 4:
         if p._block_index[1] == p._block_index[4]:  # nesting {1,4},{2,3}
-            return bc.nu[(p.word[1], p.word[2])]
-        return bc.xi[(p.word[1], p.word[2])]  # crossing {1,3},{2,4}
+            return ("nu", (p.word[1], p.word[2]))
+        return ("xi", (p.word[1], p.word[2]))  # crossing {1,3},{2,4}
     # n > 4: legs 1, 2 lie in distinct blocks; make their faces equal, split
     # the block of leg 3 at leg 3, and factor through the blocks of legs 1
     # and 2.  Both ends being normalized guarantees both factors have fewer
     # than n legs once their leading same-block runs merge away.
     p = p.change_extremal_face("first", p.word[1])
     united, remembered = p.split_block_at_leg(3).split_at(1)
-    return rec(united) * rec(remembered)
+    return ("product", _key(united), _key(remembered))
+
+
+def _apply_step(step: tuple, bc: BasicCoefficients, rec: Callable[[tuple[str, Blocks]], complex]) -> complex:
+    """The value of a reduction step, with leaves read from ``bc`` and the
+    partitions it names valued by ``rec`` of their keys."""
+    op = step[0]
+    if op == "product":
+        return rec(step[1]) * rec(step[2])
+    if op == "child":
+        return rec(step[1])
+    if op == "nu":
+        return bc.nu[step[1]]
+    if op == "xi":
+        return bc.xi[step[1]]
+    return complex(1)
 
 
 def evaluate_randomized(family: WeightFamily, p: Partition, rng: random.Random) -> complex:
@@ -447,6 +507,9 @@ def evaluate_randomized(family: WeightFamily, p: Partition, rng: random.Random) 
     Chooses random applicable rewrites: random mirror (with conjugation),
     random eligible position for the split relation, random end for the
     extremal normalization.  Only meaningful for reduction-backed families.
+    Two-block partitions take ``_two_block_step`` from a random end, with
+    the partitions it names valued here again; the shared step table is
+    never read, so this route stays independent of ``evaluate``.
     """
     bc = family.basic_coefficients()
 
@@ -476,8 +539,11 @@ def evaluate_randomized(family: WeightFamily, p: Partition, rng: random.Random) 
             return v.conjugate() if conj else v
         # Two blocks: use the deterministic resolver from a random end.
         if rng.random() < 0.5:
-            return _two_block_value(p.mirror(), bc, go).conjugate()
-        return _two_block_value(p, bc, go)
+            return _apply_step(_two_block_step(p.mirror()), bc, go_key).conjugate()
+        return _apply_step(_two_block_step(p), bc, go_key)
+
+    def go_key(key: tuple[str, Blocks]) -> complex:
+        return go(Partition._unsafe(*key))
 
     return go(p)
 

@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from multifaced import weights
 from multifaced.classes import ALL_CLASSES, ClassId, member
 from multifaced.partitions import Partition, all_words, concatenate, enumerate_partitions, parse_diagram, partitions_upto
 from multifaced.weights import (
@@ -26,7 +27,7 @@ from multifaced.weights import (
     family_from_json,
     is_singleton_inductive,
 )
-from multifaced.verify import stock_families
+from multifaced.verify import ZETAS, stock_families
 
 STOCK = [ClassIndicatorFamily(c) for c in ALL_CLASSES] + [
     DeformedFamily("tensor", 1j),
@@ -90,6 +91,122 @@ class TestWeightStore:
         for p in parts:
             assert by_weight.evaluate(p) == by_weight.weight(p.word, p.blocks)
             assert by_evaluate.weight(p.word, p.blocks) == by_evaluate.evaluate(p)
+
+
+def reference_value(p, bc, rec):
+    """The recursive canonical reduction the shared step table replaced,
+    frozen here as the reference: the value of p, with ``rec`` valuing the
+    partitions it reduces to."""
+    p = p.reduce()
+    if p.block_count <= 1 or p.is_interval():
+        return complex(1)
+    if p.block_count == 2:
+        return reference_two_block_value(p, bc, rec)
+    q = p.change_extremal_face("first", p.word[1])
+    if p._block_index[1] == p._block_index[2]:
+        return rec(q.merge_legs(1))
+    united, remembered = q.split_at(1)
+    return rec(united) * rec(remembered)
+
+
+def reference_two_block_value(p, bc, rec):
+    while True:
+        p = p.reduce()
+        if p.block_count <= 1 or p.is_interval():
+            return complex(1)
+        n = p.n
+        if p._block_index[1] == p._block_index[2]:
+            p = p.change_extremal_face("first", p.word[1]).merge_legs(1)
+            continue
+        if p._block_index[n] == p._block_index[n - 1]:
+            p = p.change_extremal_face("last", p.word[n - 2]).merge_legs(n - 1)
+            continue
+        break
+    n = p.n
+    if n == 3:
+        return bc.nu[(p.word[1], p.word[1])]
+    if n == 4:
+        if p._block_index[1] == p._block_index[4]:
+            return bc.nu[(p.word[1], p.word[2])]
+        return bc.xi[(p.word[1], p.word[2])]
+    p = p.change_extremal_face("first", p.word[1])
+    united, remembered = p.split_block_at_leg(3).split_at(1)
+    return rec(united) * rec(remembered)
+
+
+def reference_evaluator(fam):
+    bc, memo = fam.basic_coefficients(), {}
+
+    def rec(p):
+        v = memo.get(p)
+        if v is None:
+            v = memo[p] = reference_value(p, bc, rec)
+        return v
+
+    return rec
+
+
+def reduction_families():
+    """The 15 stock families and the 9 deformations of criterion 2."""
+    return stock_families() + [DeformedFamily(base, z) for base in DeformedFamily.BASES for z in ZETAS]
+
+
+class TestSharedSteps:
+    @pytest.mark.slow
+    def test_equals_recursive_reduction(self):
+        # every value under repr, so the last bit counts; then again in
+        # reverse family order on an emptied table, so no family's values
+        # depend on which family filled the table first
+        parts = list(partitions_upto(6))
+        expected = [[repr(reference_evaluator(f)(p)) for p in parts] for f in reduction_families()]
+        assert [[repr(f.evaluate(p)) for p in parts] for f in reduction_families()] == expected
+        weights._STEPS.clear()
+        got = [[repr(f.weight(p.word, p.blocks)) for p in parts] for f in reversed(reduction_families())]
+        assert got[::-1] == expected
+
+    def test_corrupted_step_is_caught_by_randomized_route(self, monkeypatch):
+        # evaluate_randomized never reads the table, so one wrong leaf in it
+        # (the bicolor nesting read as a crossing) shows as a disagreement
+        def disagreements(fam):
+            rng = random.Random(5)
+            return [p for p in partitions_upto(5) if not approx(fam.evaluate(p), evaluate_randomized(fam, p, rng))]
+
+        assert disagreements(ClassIndicatorFamily(ClassId.NC)) == []
+        nest = parse_diagram("wwbb/14|23")
+        key = (nest.word, nest.blocks)
+        assert weights._STEPS[key] == ("nu", ("w", "b"))
+        monkeypatch.setitem(weights._STEPS, key, ("xi", ("w", "b")))
+        assert nest in disagreements(ClassIndicatorFamily(ClassId.NC))
+
+    def test_table_holds_no_partitions(self):
+        for fam in stock_families():
+            for p in partitions_upto(5):
+                fam.evaluate(p)
+        atoms = set()
+
+        def walk(x):
+            if isinstance(x, tuple):
+                for y in x:
+                    walk(y)
+            else:
+                atoms.add(type(x))
+
+        for key, step in weights._STEPS.items():
+            walk(key)
+            walk(step)
+        assert atoms == {str, int}
+
+    def test_step_hit_builds_no_partition(self, monkeypatch):
+        parts = list(partitions_upto(4))
+        for p in parts:
+            ClassIndicatorFamily(ClassId.pC).evaluate(p)
+
+        def refuse(cls, *args):
+            raise AssertionError("built a Partition on a step hit")
+
+        monkeypatch.setattr(Partition, "_unsafe", classmethod(refuse))
+        fam = DeformedFamily("tensor", 1j)
+        assert [fam.weight(p.word, p.blocks) for p in parts] == [DeformedFamily("tensor", 1j).evaluate(p) for p in parts]
 
 
 class TestBasicCoefficients:
