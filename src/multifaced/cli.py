@@ -16,7 +16,7 @@ from . import verify as _verify
 from .classes import ALL_CLASSES, ClassId, member
 from .classify import BudgetExceeded, Deformed, classify_pattern, closure_generate, hasse_verify
 from .cumulants import table_from_json
-from .partitions import PartitionError, enumerate_partitions, parse_diagram
+from .partitions import DEFAULT_ALPHABET, PartitionError, enumerate_partitions, parse_diagram
 from .product import Product, combinatorial_moment
 from .weights import EPS, BasicCoefficients, check_admissible, family_from_json, json_expect
 
@@ -82,14 +82,7 @@ def _class_id(name: str) -> ClassId:
     try:
         return ClassId(name)
     except ValueError:
-        raise SystemExit_(EXIT_MALFORMED, f"unknown class {name!r}; choose from {[c.value for c in ALL_CLASSES]}")
-
-
-class SystemExit_(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
+        raise ValueError(f"unknown class {name!r}; choose from {[c.value for c in ALL_CLASSES]}") from None
 
 
 def cmd_enumerate(args) -> int:
@@ -126,7 +119,7 @@ def cmd_closure(args) -> int:
     _warn_legs(args.max_legs)
     obj = _load_json_arg(args.generators)
     diagrams = obj["generators"] if isinstance(obj, dict) else obj
-    gens = [parse_diagram(json_expect(d, "a string", "generator")) for d in json_expect(diagrams, "a list", "generators")]
+    gens = [parse_diagram(json_expect(d, "a string", "generator"), DEFAULT_ALPHABET) for d in json_expect(diagrams, "a list", "generators")]
     result = sorted(closure_generate(gens, args.max_legs), key=lambda p: (p.n, str(p)))
     _emit({"max_legs": args.max_legs, "count": len(result), "partitions": [str(p) for p in result]}, args.pretty)
     return EXIT_OK
@@ -177,6 +170,8 @@ def cmd_product(args) -> int:
     family = family_from_json(query["family"])
     factors = tuple(table_from_json(t) for t in json_expect(query["factors"], "a list", "factors"))
     word = _query_word(json_expect(query["word"], "a list", "word"), factors)
+    if args.combinatorial and family.kind != "class":
+        raise ValueError("--combinatorial needs a class-indicator family")
     prod = Product(family, factors)
     if args.explain:
         expansion: list[dict] = []
@@ -196,8 +191,6 @@ def cmd_product(args) -> int:
         value = prod.moment(word)
         out = {"value": {"re": value.real, "im": value.imag}}
     if args.combinatorial:
-        if family.kind != "class":
-            raise SystemExit_(EXIT_MALFORMED, "--combinatorial needs a class-indicator family")
         cm = combinatorial_moment(family.class_id, factors, word)
         out["combinatorial"] = {"re": cm.real, "im": cm.imag}
         out["cross_check"] = abs(cm - value) <= EPS
@@ -271,9 +264,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SystemExit_ as e:
-        print(e.message, file=sys.stderr)
-        return e.code
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET

@@ -327,6 +327,8 @@ def pure_plan(b: tuple[int, ...]) -> tuple:
     order (factor by factor through ``set_partitions``, blocks sorted by
     first leg) as ``(j, ids)``: the partition is ``set_partitions(n)[j]``
     and ``ids`` index its blocks in ``subsets``, in block order.
+    ``terms[0]`` is the factor partition, one block per factor, and the
+    terms are exactly its refinements.
 
     For one factor, ``b = (1,) * n``, the terms are all of
     ``set_partitions(n)`` in order; ``terms[0]`` is the one-block partition
@@ -419,20 +421,15 @@ def meet(parts: Sequence[Partition]) -> Partition:
 
 
 def refinements(p: Partition) -> Iterator[Partition]:
-    """All partitions refining p (every block split independently)."""
-    # Per block of p, each way to split it as (0-based position, label)
-    # pairs; labels are unique across blocks.
-    n = p.n
-    per_block = [
-        [[(b[i - 1] - 1, k * n + s) for s, sb in enumerate(sub) for i in sb] for sub in set_partitions(len(b))]
-        for k, b in enumerate(p.blocks)
-    ]
-    for combo in itertools.product(*per_block):
-        labels = [0] * n
-        for row in combo:
-            for pos, label in row:
-                labels[pos] = label
-        yield Partition._from_labels(p.word, labels)
+    """All partitions refining p (every block split independently).
+
+    These are the factor-pure partitions of p's block pattern, so they come
+    from ``pure_plan`` in its order: block by block of p through
+    ``set_partitions``, p itself first.
+    """
+    parts = set_partitions(p.n)
+    for j, _ in pure_plan(tuple(i + 1 for i in p._block_index[1:]))[2]:
+        yield Partition._unsafe(p.word, parts[j])
 
 
 # -- text and JSON ------------------------------------------------------------

@@ -30,10 +30,11 @@ is driven by a plan per (class, face word, factor partition): the number of
 coarsest refinements S of the factor partition inside the class, and one
 (sign, meet) pair per nonempty subset of S, the meet as a shared tuple of
 ``set_partitions``.  Plans sit in a row per (class, face word), one slot per
-set partition of the legs (``partitions.partition_index``).  Factor
-patterns that relabel each other share a slot, and equal plans of other
-slots, classes and face words are one object.  Per word only the factor
-moments of the meets' blocks are read.
+set partition of the legs; a word's slot is the first term of its factor
+pattern's ``pure_plan``, the factor partition.  Factor patterns that
+relabel each other share a slot, and equal plans of other slots, classes
+and face words are one object.  Per word only the factor moments of the
+meets' blocks are read.
 
 Coefficient extraction follows the delta-functional construction: factor
 kappa's table is 1 on exactly the block subwords of one partition inside
@@ -405,15 +406,11 @@ def combinatorial_moment(
     factor moments over the blocks of the meet of R.  The signs and meets
     come from the plan of (class, face word, factor partition), built once.
     """
-    groups: dict[int, list[int]] = {}
-    for i, letter in enumerate(word, start=1):
-        groups.setdefault(letter[0], []).append(i)
     faces = "".join(letter[1] for letter in word)
-    index = partition_index(len(word))
-    j = index[tuple(map(tuple, groups.values()))]
+    j = pure_plan(tuple(letter[0] for letter in word))[2][0][0]  # the factor partition
     row = _ie_rows.get((c, faces))
     if row is None:
-        row = _ie_rows[(c, faces)] = [None] * len(index)
+        row = _ie_rows[(c, faces)] = [None] * len(set_partitions(len(word)))
     plan = row[j]
     if plan is None or plan[0] > cap:
         # builds the plan, or raises BudgetExceeded for this call's cap
@@ -457,32 +454,25 @@ def unit_preservation_check(
     t2 = unit_extended_table(base2, units2)
     prod = Product(family, (t1, t2))
     normal = [(1, g[0], g[1]) for g in base1.generators] + [(2, g[0], g[1]) for g in base2.generators]
-    witness = None
-    for _ in range(samples):
-        n = rng.randint(1, max_len)
-        word = tuple(rng.choice(normal) for _ in range(n))
-        base_value = prod.moment(word)
-        for pos in range(n + 1):
-            for kappa, units in ((1, units1), (2, units2)):
-                for f in faces:
-                    u = units[f]
-                    inserted = word[:pos] + ((kappa, u[0], u[1]),) + word[pos:]
-                    got = prod.moment(inserted)
-                    if abs(got - base_value) > EPS:
-                        witness = {
-                            "word": [list(t) for t in word],
-                            "insert": [kappa, u[0], u[1]],
-                            "position": pos,
-                            "moment": base_value,
-                            "with_unit": got,
-                        }
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
+
+    def failing_insertions():
+        for _ in range(samples):
+            n = rng.randint(1, max_len)
+            word = tuple(rng.choice(normal) for _ in range(n))
+            base_value = prod.moment(word)
+            for pos, (kappa, units), f in itertools.product(range(n + 1), ((1, units1), (2, units2)), faces):
+                u = units[f]
+                got = prod.moment(word[:pos] + ((kappa, u[0], u[1]),) + word[pos:])
+                if abs(got - base_value) > EPS:
+                    yield {
+                        "word": [list(t) for t in word],
+                        "insert": [kappa, u[0], u[1]],
+                        "position": pos,
+                        "moment": base_value,
+                        "with_unit": got,
+                    }
+
+    witness = next(failing_insertions(), None)
     insertion_invariant = witness is None
     bc = family.basic_coefficients()
     nu_all_one = all(abs(bc.nu[(q, q)] - 1) <= EPS for q in faces)

@@ -103,7 +103,7 @@ def criterion_classification_count() -> dict:
     )
 
 
-def criterion_admissibility(max_legs: int = 6) -> dict:
+def criterion_admissibility() -> dict:
     """Every stock family passes the six conditions; the mirror-asymmetric
     control fails condition (vi) with a witness."""
     t0 = time.perf_counter()
@@ -114,7 +114,7 @@ def criterion_admissibility(max_legs: int = 6) -> dict:
     results = {}
     ok = True
     for fam in fams:
-        rep = check_admissible(fam, max_legs)
+        rep = check_admissible(fam, 6)
         results[fam.name] = "pass" if rep.ok else f"violates ({rep.first_violation[0]})"
         ok = ok and rep.ok
     control = check_admissible(bi_interval_family(), max_legs=4)
@@ -129,11 +129,11 @@ def criterion_admissibility(max_legs: int = 6) -> dict:
     )
 
 
-def criterion_hasse(max_legs: int = 6) -> dict:
+def criterion_hasse() -> dict:
     """The containment diagram matches the expected seventeen covering edges
     with strictness witnesses; the known incomparable pairs show up."""
     t0 = time.perf_counter()
-    rep = hasse_verify(max_legs)
+    rep = hasse_verify(6)
     pairs = {frozenset((d["a"], d["b"])) for d in rep.incomparable}
     need = [frozenset(("NCwAb", "AwNCb"))]
     parents = ("NC", "biNC", "NCwAb", "AwNCb")
@@ -267,7 +267,7 @@ def criterion_reconstruction(seed: int = 0, trials: int = 20, max_len: int = 5) 
     )
 
 
-def criterion_combinatorial(seed: int = 0, max_factors: int = 3, max_legs: int = 6) -> dict:
+def criterion_combinatorial(seed: int = 0) -> dict:
     """The inclusion-exclusion formula equals the cumulant-route moment for
     every class and every block structure with at most three factors and six
     legs, plus the exact three-term example."""
@@ -278,15 +278,15 @@ def criterion_combinatorial(seed: int = 0, max_factors: int = 3, max_legs: int =
     for c in ALL_CLASSES:
         fam = ClassIndicatorFamily(c)
         tables = tuple(
-            random_table(standard_generators(per_face=1, prefix=p), max_legs, rng)
-            for p in ("a", "c", "e")[:max_factors]
+            random_table(standard_generators(per_face=1, prefix=p), 6, rng)
+            for p in ("a", "c", "e")
         )
         prod = Product(fam, tables)
         by_face = [
             {f: next(g for g in t.generators if g[0] == f) for f in ("w", "b")} for t in tables
         ]
-        for n in range(1, max_legs + 1):
-            for bpat in itertools.product(range(1, max_factors + 1), repeat=n):
+        for n in range(1, 7):
+            for bpat in itertools.product((1, 2, 3), repeat=n):
                 for fpat in all_words("wb", n):
                     word = tuple(
                         (b, f, by_face[b - 1][f][1]) for b, f in zip(bpat, fpat)
@@ -324,7 +324,7 @@ def criterion_combinatorial(seed: int = 0, max_factors: int = 3, max_legs: int =
     )
 
 
-def criterion_product_cumulants(seed: int = 0, tables_per_family: int = 100, max_len: int = 5) -> dict:
+def criterion_product_cumulants(seed: int = 0) -> dict:
     """The product-of-letters cumulant identity on seeded random tables,
     with the two-letter base case held to near machine precision."""
     t0 = time.perf_counter()
@@ -333,14 +333,14 @@ def criterion_product_cumulants(seed: int = 0, tables_per_family: int = 100, max
     worst = 0.0
     worst_base = 0.0
     for fam in stock_families():
-        for _ in range(tables_per_family):
-            t = random_table(gens, max_len, rng)
+        for _ in range(100):
+            t = random_table(gens, 5, rng)
             face = rng.choice(("w", "b"))
             g = next(x for x in gens if x[0] == face)
             base = product_letter_cumulant_check(fam, t, (g, g), 1)
             worst_base = max(worst_base, base["diff"])
             while True:
-                n = rng.randint(2, max_len)
+                n = rng.randint(2, 5)
                 word = tuple(rng.choice(gens) for _ in range(n))
                 pos = [i for i in range(1, n) if word[i - 1][0] == word[i][0]]
                 if pos:
@@ -357,7 +357,7 @@ def criterion_product_cumulants(seed: int = 0, tables_per_family: int = 100, max
     )
 
 
-def criterion_units(seed: int = 0, max_len: int = 4) -> dict:
+def criterion_units(seed: int = 0) -> dict:
     """The three unit-preservation verdicts agree everywhere, and the
     unit-preserving classes are exactly those containing the pure
     noncrossing class (plus the three deformations)."""
@@ -368,7 +368,7 @@ def criterion_units(seed: int = 0, max_len: int = 4) -> dict:
     agree = True
     preserving: set[str] = set()
     for fam in stock_families():
-        r = unit_preservation_check(fam, max_len=max_len, seed=seed, samples=30)
+        r = unit_preservation_check(fam, seed=seed, samples=30)
         verdicts[fam.name] = {
             "insertion_invariant": r["insertion_invariant"],
             "nu_all_one": r["nu_all_one"],
@@ -391,7 +391,7 @@ def criterion_units(seed: int = 0, max_len: int = 4) -> dict:
     )
 
 
-def criterion_roundtrip(seed: int = 0, tables_per_family: int = 100, degree: int = 5) -> dict:
+def criterion_roundtrip(seed: int = 0) -> dict:
     """exp/log round trips on seeded random tables, and the agreement of the
     ordered and unordered moment-cumulant relations up to four letters."""
     t0 = time.perf_counter()
@@ -400,8 +400,8 @@ def criterion_roundtrip(seed: int = 0, tables_per_family: int = 100, degree: int
     worst = 0.0
     worst_ordered = 0.0
     for fam in stock_families():
-        for i in range(tables_per_family):
-            t = random_table(gens, degree, rng)
+        for i in range(100):
+            t = random_table(gens, 5, rng)
             back = exp_alpha(fam, log_alpha(fam, t))
             back2 = log_alpha(fam, exp_alpha(fam, t))
             for w in t.words():

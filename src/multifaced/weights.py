@@ -17,11 +17,11 @@ one step per ``(word, blocks)`` key in a table all these families share,
 and each family applies the steps with its own basic coefficients.
 
 Every family memoizes its values in one dict keyed by the raw
-``(word, blocks)`` pair.  ``evaluate(p)`` reads it for a ``Partition``;
-``weight(faces, blocks)`` reads it for callers that hold only the raw data
-(the transforms and the product engine).  A reduction-backed family builds
-a ``Partition`` only for a step new to the shared table, any other family
-only on a miss of its own memo.
+``(word, blocks)`` pair, and ``weight(faces, blocks)`` is its one reader:
+on a miss it calls the family's ``_value(faces, blocks)`` hook.
+``evaluate(p)`` is ``weight`` of a ``Partition``'s word and blocks.  A
+reduction-backed family builds a ``Partition`` only for a step new to the
+shared table; a table or predicate family builds one on a miss of its memo.
 """
 
 from __future__ import annotations
@@ -212,21 +212,17 @@ class WeightFamily:
         self._cache: dict[tuple[str, Blocks], complex] = {}
 
     def evaluate(self, p: Partition) -> complex:
-        key = (p.word, p.blocks)
-        v = self._cache.get(key)
-        if v is None:
-            v = self._value(p)
-            self._cache[key] = v
-        return v
+        return self.weight(p.word, p.blocks)
 
     def weight(self, faces: str, blocks: Blocks) -> complex:
-        """evaluate() of the partition with canonical ``blocks`` on ``faces``."""
+        """The weight of the partition with canonical ``blocks`` on ``faces``,
+        from the memo or, on a miss, from ``_value``."""
         v = self._cache.get((faces, blocks))
         if v is None:
-            v = self.evaluate(Partition._unsafe(faces, blocks))
+            v = self._cache[(faces, blocks)] = self._value(faces, blocks)
         return v
 
-    def _value(self, p: Partition) -> complex:
+    def _value(self, faces: str, blocks: Blocks) -> complex:
         raise NotImplementedError
 
     def basic_coefficients(self) -> BasicCoefficients:
@@ -243,34 +239,28 @@ class WeightFamily:
 class ReductionFamily(WeightFamily):
     """Weights by canonical reduction to the basic coefficients ``self._bc``.
 
-    On a miss of its own memo the family reads the partition's step from the
-    table ``_STEPS`` that all reduction-backed families share, and applies it
-    with its own leaves and its own memo.  A ``Partition`` is built only
-    when the step is new to the table.
+    On a miss of its memo the family reads the partition's step from the
+    table ``_STEPS`` that all reduction-backed families share, and values it
+    with its own leaves and, for the partitions the step names, ``weight``.
+    A ``Partition`` is built only when the step is new to the table.
     """
 
     _bc: BasicCoefficients
 
-    def evaluate(self, p: Partition) -> complex:
-        key = (p.word, p.blocks)
-        v = self._cache.get(key)
-        return self._at(key) if v is None else v
-
-    def weight(self, faces: str, blocks: Blocks) -> complex:
-        key = (faces, blocks)
-        v = self._cache.get(key)
-        return self._at(key) if v is None else v
-
-    def _at(self, key: tuple[str, Blocks]) -> complex:
-        """The memoized weight at ``key``; on a miss, the shared step
-        applied to this family's leaves and memo."""
-        v = self._cache.get(key)
-        if v is None:
-            step = _STEPS.get(key)
-            if step is None:
-                step = _STEPS[key] = _canonical_step(Partition._unsafe(*key))
-            v = self._cache[key] = _apply_step(step, self._bc, self._at)
-        return v
+    def _value(self, faces: str, blocks: Blocks) -> complex:
+        step = _STEPS.get((faces, blocks))
+        if step is None:
+            step = _STEPS[(faces, blocks)] = _canonical_step(Partition._unsafe(faces, blocks))
+        op = step[0]
+        if op == "product":
+            return self.weight(*step[1]) * self.weight(*step[2])
+        if op == "child":
+            return self.weight(*step[1])
+        if op == "nu":
+            return self._bc.nu[step[1]]
+        if op == "xi":
+            return self._bc.xi[step[1]]
+        return complex(1)
 
     def basic_coefficients(self) -> BasicCoefficients:
         return self._bc
@@ -341,9 +331,10 @@ class TableFamily(WeightFamily):
         self.entries = dict(entries)
         self.max_legs = max_legs
 
-    def _value(self, p: Partition) -> complex:
-        if p.n > self.max_legs:
-            raise MissingEntryError(f"partition has {p.n} legs, table stops at {self.max_legs}")
+    def _value(self, faces: str, blocks: Blocks) -> complex:
+        if len(faces) > self.max_legs:
+            raise MissingEntryError(f"partition has {len(faces)} legs, table stops at {self.max_legs}")
+        p = Partition._unsafe(faces, blocks)
         try:
             return self.entries[p]
         except KeyError:
@@ -369,8 +360,8 @@ class PredicateFamily(WeightFamily):
         super().__init__(name=name)
         self.predicate = predicate
 
-    def _value(self, p: Partition) -> complex:
-        return complex(bool(self.predicate(p)))
+    def _value(self, faces: str, blocks: Blocks) -> complex:
+        return complex(bool(self.predicate(Partition._unsafe(faces, blocks))))
 
 
 def family_from_json(obj: dict) -> WeightFamily:
@@ -396,7 +387,7 @@ def family_from_json(obj: dict) -> WeightFamily:
         entries = {}
         for e in json_expect(obj["entries"], "a list", "table entries"):
             json_expect(e, "an object", "table entry")
-            p = parse_diagram(json_expect(e["partition"], "a string", "table entry partition"))
+            p = parse_diagram(json_expect(e["partition"], "a string", "table entry partition"), DEFAULT_ALPHABET)
             if p.n > max_legs:
                 raise ValueError(f"table entry {p} has {p.n} legs, more than max_legs {max_legs}")
             if p in entries:
@@ -486,32 +477,25 @@ def _two_block_step(p: Partition) -> tuple:
     return ("product", _key(united), _key(remembered))
 
 
-def _apply_step(step: tuple, bc: BasicCoefficients, rec: Callable[[tuple[str, Blocks]], complex]) -> complex:
-    """The value of a reduction step, with leaves read from ``bc`` and the
-    partitions it names valued by ``rec`` of their keys."""
-    op = step[0]
-    if op == "product":
-        return rec(step[1]) * rec(step[2])
-    if op == "child":
-        return rec(step[1])
-    if op == "nu":
-        return bc.nu[step[1]]
-    if op == "xi":
-        return bc.xi[step[1]]
-    return complex(1)
-
-
 def evaluate_randomized(family: WeightFamily, p: Partition, rng: random.Random) -> complex:
     """Evaluate along a randomized reduction order (confluence probe).
 
     Chooses random applicable rewrites: random mirror (with conjugation),
     random eligible position for the split relation, random end for the
     extremal normalization.  Only meaningful for reduction-backed families.
-    Two-block partitions take ``_two_block_step`` from a random end, with
-    the partitions it names valued here again; the shared step table is
-    never read, so this route stays independent of ``evaluate``.
+    Two-block partitions are resolved here too: both ends are normalized,
+    a partition of more than four legs is split as the two-block rule does,
+    and one of three or four legs, with both extremal legs recolored, is
+    looked up among the basic diagrams valued by
+    ``family.basic_coefficients()``.  Neither the shared step table nor the
+    step functions are read, so this route is independent of ``evaluate``.
     """
     bc = family.basic_coefficients()
+    basic: dict[Partition, complex] = {}
+    for q in DEFAULT_ALPHABET:
+        for Q in DEFAULT_ALPHABET:
+            nu_d, xi_d = basic_diagrams(q, Q)
+            basic[nu_d], basic[xi_d] = bc.nu[(q, Q)], bc.xi[(q, Q)]
 
     def go(p: Partition) -> complex:
         p = p.reduce()
@@ -537,13 +521,22 @@ def evaluate_randomized(family: WeightFamily, p: Partition, rng: random.Random) 
                 united, remembered = q.split_at(1)
                 v = go(united) * go(remembered)
             return v.conjugate() if conj else v
-        # Two blocks: use the deterministic resolver from a random end.
-        if rng.random() < 0.5:
-            return _apply_step(_two_block_step(p.mirror()), bc, go_key).conjugate()
-        return _apply_step(_two_block_step(p), bc, go_key)
-
-    def go_key(key: tuple[str, Blocks]) -> complex:
-        return go(Partition._unsafe(*key))
+        # Two blocks: merge away an end whose two extremal legs share a
+        # block (the random mirror above picks the end).
+        n = p.n
+        if p._block_index[1] == p._block_index[2]:
+            return go(p.change_extremal_face("first", p.word[1]).merge_legs(1))
+        if p._block_index[n] == p._block_index[n - 1]:
+            return go(p.change_extremal_face("last", p.word[n - 2]).merge_legs(n - 1))
+        if n > 4:
+            # Give leg 1 the face of leg 2, split the block of leg 3 at
+            # leg 3, and factor through the blocks of legs 1 and 2.
+            q = p.change_extremal_face("first", p.word[1])
+            united, remembered = q.split_block_at_leg(3).split_at(1)
+            return go(united) * go(remembered)
+        # Three legs {1,3},{2} or four legs {1,4},{2,3} / {1,3},{2,4}: a
+        # basic diagram once the extremal legs take their neighbours' faces.
+        return basic[p.change_extremal_face("first", p.word[1]).change_extremal_face("last", p.word[n - 2])]
 
     return go(p)
 
@@ -636,14 +629,6 @@ class SingletonReport:
     def agrees(self) -> bool:
         return self.inductive == self.nu_all_one
 
-    def to_json(self) -> dict:
-        return {
-            "singleton_inductive": self.inductive,
-            "witness": None if self.witness is None else str(self.witness),
-            "nu_all_one": self.nu_all_one,
-            "verdicts_agree": self.agrees,
-        }
-
 
 def is_singleton_inductive(family: WeightFamily, max_legs: int) -> SingletonReport:
     """Check that removing any singleton block leaves the weight unchanged.
@@ -703,5 +688,5 @@ class ConstantBlockFamily(WeightFamily):
         super().__init__(name=f"broken-constant:{value}")
         self.value = complex(value)
 
-    def _value(self, p: Partition) -> complex:
-        return complex(1) if p.block_count <= 1 else self.value
+    def _value(self, faces: str, blocks: Blocks) -> complex:
+        return complex(1) if len(blocks) <= 1 else self.value

@@ -9,6 +9,7 @@ import pytest
 
 from multifaced import verify
 from multifaced.classes import ClassId, member
+from multifaced.partitions import Partition
 from multifaced.weights import EPS, WeightFamily
 
 
@@ -28,13 +29,13 @@ def test_criterion_1_classification_count():
 def test_criterion_2_admissibility():
     # all class indicators and deformations pass the six conditions at six
     # legs; the mirror-asymmetric control fails condition (vi)
-    _check(verify.criterion_admissibility(max_legs=6))
+    _check(verify.criterion_admissibility())
 
 
 def test_criterion_3_hasse():
     # every containment edge with strictness witnesses; the known
     # incomparable pairs confirmed
-    _check(verify.criterion_hasse(max_legs=6))
+    _check(verify.criterion_hasse())
 
 
 def test_criterion_4_example_moment():
@@ -54,8 +55,8 @@ class NonMonicFamily(WeightFamily):
 
     kind = "non-monic"
 
-    def _value(self, p):
-        return complex(1.5) if p.block_count == 1 else complex(member(ClassId.NC, p))
+    def _value(self, faces, blocks):
+        return complex(1.5) if len(blocks) == 1 else complex(member(ClassId.NC, Partition(faces, blocks)))
 
 
 def test_criterion_5_restriction_full_sum(monkeypatch):
@@ -80,7 +81,7 @@ def test_criterion_6_combinatorial():
 
 def test_criterion_7_product_cumulants():
     # the product-of-letters cumulant identity, one hundred tables per family
-    _check(verify.criterion_product_cumulants(seed=0, tables_per_family=100))
+    _check(verify.criterion_product_cumulants(seed=0))
 
 
 def test_criterion_8_units():
@@ -93,7 +94,7 @@ def test_criterion_8_units():
 def test_criterion_9_roundtrip():
     # exp/log round trips on one hundred tables per family, and the ordered
     # form of the moment-cumulant relation up to four letters
-    _check(verify.criterion_roundtrip(seed=0, tables_per_family=100))
+    _check(verify.criterion_roundtrip(seed=0))
 
 
 def test_criterion_10_counting():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from multifaced import cli
 from multifaced.cli import main
 from multifaced.cumulants import random_table, table_to_json
 
@@ -29,7 +30,7 @@ class TestEnumerate:
 
     def test_unknown_class(self, capsys):
         code, _, err = run(capsys, "enumerate", "--word", "wb", "--class", "XX")
-        assert code == 1 and "unknown class" in err
+        assert code == 1 and err.startswith("malformed input: unknown class 'XX'")
 
 
 class TestMember:
@@ -108,6 +109,14 @@ class TestCheckAdmissible:
         code, out, err = run(capsys, "check-admissible", "--family", "[1]")
         assert code == 1 and out == "" and "malformed input: weight family must be an object, got [1]" in err
 
+    def test_foreign_face_rejected(self, capsys):
+        # a table entry on a face other than w and b is malformed input
+        fam = {"kind": "table", "max_legs": 1, "entries": [
+            {"partition": "w/1", "value": 1}, {"partition": "b/1", "value": 1}, {"partition": "x/1", "value": 5},
+        ]}
+        code, out, err = run(capsys, "check-admissible", "--family", json.dumps(fam), "--max-legs", "1")
+        assert code == 1 and out == "" and err.startswith("malformed input: faces ['x']")
+
     def test_nan_zeta_rejected(self, capsys):
         fam = '{"kind": "deformed", "base": "tensor", "zeta": {"re": NaN, "im": 0}}'
         code, out, err = run(capsys, "check-admissible", "--family", fam, "--max-legs", "3")
@@ -127,6 +136,11 @@ class TestClosure:
     def test_wrong_shape_rejected(self, capsys):
         code, out, err = run(capsys, "closure", "--generators", '{"generators": [1]}')
         assert code == 1 and out == "" and "malformed input: generator must be a string, got 1" in err
+
+    def test_foreign_face_rejected(self, capsys):
+        gens = '{"generators": ["xx/12", "wxw/13|2"]}'
+        code, out, err = run(capsys, "closure", "--generators", gens, "--max-legs", "3")
+        assert code == 1 and out == "" and err.startswith("malformed input: faces ['x']")
 
 
 class TestClassify:
@@ -243,6 +257,21 @@ class TestProduct:
         b2 = psi.value((("b", "b2b"),))
         want = a12 * a3 * b12 + a123 * b1 * b2 - a12 * a3 * b1 * b2
         assert abs(complex(data["value"]["re"], data["value"]["im"]) - want) < 1e-9
+
+    def test_combinatorial_needs_class_family(self, capsys, tmp_path, monkeypatch):
+        # rejected before any moment is computed
+        path, _, _ = make_query(tmp_path)
+        query = json.loads(path.read_text())
+        query["family"] = {"kind": "deformed", "base": "tensor", "zeta": {"re": 0, "im": 1}}
+        path.write_text(json.dumps(query))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed a moment")
+
+        monkeypatch.setattr(cli.Product, "moment", refuse)
+        code, out, err = run(capsys, "product", "--query", str(path), "--combinatorial")
+        assert code == 1 and out == ""
+        assert err.startswith("malformed input: --combinatorial needs a class-indicator family")
 
     def test_explain(self, capsys, tmp_path):
         path, _, _ = make_query(tmp_path)

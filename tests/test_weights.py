@@ -325,6 +325,23 @@ class TestConfluence:
                     for _ in range(3):
                         assert approx(evaluate_randomized(fam, p, rng), v)
 
+    def test_swapped_bicolor_leaves_are_caught(self, monkeypatch):
+        # a resolver that reads every bicolor nesting as a crossing and back
+        # changes evaluate but not the probe, which resolves two-block
+        # partitions on its own
+        real = weights._two_block_step
+
+        def swapped(p):
+            step = real(p)
+            if step[0] in ("nu", "xi") and step[1][0] != step[1][1]:
+                return ("xi" if step[0] == "nu" else "nu", step[1])
+            return step
+
+        monkeypatch.setattr(weights, "_two_block_step", swapped)
+        monkeypatch.setattr(weights, "_STEPS", {})
+        fam, rng = ClassIndicatorFamily(ClassId.NC), random.Random(5)
+        assert any(not approx(fam.evaluate(p), evaluate_randomized(fam, p, rng)) for p in partitions_upto(5))
+
 
 class TestStructuralProperties:
     def test_equal_basics_imply_equal_family(self):
