@@ -22,7 +22,7 @@ from .partitions import (
     partitions_upto,
     refinements,
 )
-from .weights import EPS, BasicCoefficients, approx, basic_diagrams, check_basic_relations
+from .weights import EPS, BasicCoefficients, DeformedFamily, approx, basic_diagrams, check_basic_relations
 
 
 class BudgetExceeded(RuntimeError):
@@ -100,7 +100,10 @@ def swap_pattern(pattern: Sequence[int]) -> tuple[int, ...]:
 def classify_pattern(bc: BasicCoefficients):
     """Map basic coefficients to a ClassId, a Deformed family, or None.
 
-    Patterns violating the coefficient relations classify to None.
+    Patterns violating the coefficient relations classify to None.  A
+    pattern that is not 0/1 is the deformation whose
+    ``DeformedFamily.SHAPES`` entry it matches at z, read from the first
+    slot that base deforms, when z is on the unit circle and is not 1.
     """
     ok, _ = check_basic_relations(bc)
     if not ok:
@@ -109,18 +112,11 @@ def classify_pattern(bc: BasicCoefficients):
     if all(approx(v, 0) or approx(v, 1) for v in six):
         pattern = tuple(int(approx(v, 1)) for v in six)
         return PATTERNS.get(pattern)
-    nu_w, nu_b, nu_wb, xi_w, xi_b, xi_wb = six
-    mono_free = (
-        approx(nu_w, 1) and approx(nu_b, 1) and approx(xi_w, 0) and approx(xi_b, 0)
-    )
-    mono_tensor = all(approx(v, 1) for v in (nu_w, nu_b, xi_w, xi_b))
     circle = lambda z: abs(abs(z) - 1.0) <= EPS and not approx(z, 1)
-    if mono_tensor and circle(nu_wb) and approx(nu_wb, xi_wb):
-        return Deformed("tensor", nu_wb.conjugate())
-    if mono_free and circle(nu_wb) and approx(xi_wb, 0):
-        return Deformed("free", nu_wb.conjugate())
-    if mono_free and approx(nu_wb, 0) and circle(xi_wb):
-        return Deformed("bifree", xi_wb.conjugate())
+    for base, shape in DeformedFamily.SHAPES.items():
+        z = six[shape(None).index(None)]  # the first slot the base deforms
+        if circle(z) and all(approx(v, s) for v, s in zip(six, shape(z))):
+            return Deformed(base, z.conjugate())
     return None
 
 

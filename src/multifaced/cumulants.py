@@ -26,7 +26,7 @@ import math
 import random
 from typing import Callable, Iterable, Sequence
 
-from .partitions import Partition, pure_plan, set_partitions
+from .partitions import Partition, check_faces, pure_plan, set_partitions
 from .weights import WeightFamily, json_complex, json_expect
 
 # A generator letter is (face, name); a word is a tuple of letters.
@@ -328,7 +328,8 @@ def table_to_json(t: FunctionalTable) -> dict:
 def table_from_json(obj: dict) -> FunctionalTable:
     """A dense table from JSON; it must be total on its domain.
 
-    Raises ValueError naming the first word that lies outside the declared
+    Raises ValueError naming the generator faces outside the two faces
+    ``w`` and ``b``, the first word that lies outside the declared
     generators up to the degree bound, or the first word of that domain
     without a value.
     """
@@ -337,6 +338,7 @@ def table_from_json(obj: dict) -> FunctionalTable:
     for g in json_expect(obj["generators"], "a list", "generators"):
         json_expect(g, "an object", "generator")
         generators.append((json_expect(g["face"], "a string", "generator face"), json_expect(g["name"], "a string", "generator name")))
+    check_faces(f for f, _ in generators)
     degree_bound = json_expect(obj["degree_bound"], "an integer", "degree_bound")
     declared = set(generators)
     values: dict[Word, complex] = {}

@@ -446,6 +446,13 @@ def format_diagram(p: Partition) -> str:
     return f"{p.word}/{body}"
 
 
+def check_faces(faces: Iterable[str], alphabet: Sequence[str] = DEFAULT_ALPHABET) -> None:
+    """Raise PartitionError naming the faces outside ``alphabet``, if any."""
+    bad = set(faces) - set(alphabet)
+    if bad:
+        raise PartitionError(f"faces {sorted(bad)} not in alphabet {alphabet}")
+
+
 def parse_diagram(text: str, alphabet: Sequence[str] | None = None) -> Partition:
     """Parse ``<word>/<block>|<block>|...``; inverse of :func:`format_diagram`."""
     if "/" not in text:
@@ -453,9 +460,7 @@ def parse_diagram(text: str, alphabet: Sequence[str] | None = None) -> Partition
     word, _, body = text.partition("/")
     word = word.strip()
     if alphabet is not None:
-        bad = set(word) - set(alphabet)
-        if bad:
-            raise PartitionError(f"faces {sorted(bad)} not in alphabet {alphabet}")
+        check_faces(word, alphabet)
     blocks: list[list[int]] = []
     body = body.strip()
     # Above 15 legs every block is decimal, one-leg blocks included.

@@ -474,13 +474,11 @@ def unit_preservation_check(
 
     witness = next(failing_insertions(), None)
     insertion_invariant = witness is None
-    bc = family.basic_coefficients()
-    nu_all_one = all(abs(bc.nu[(q, q)] - 1) <= EPS for q in faces)
-    singleton = is_singleton_inductive(family, 5).inductive
+    singleton = is_singleton_inductive(family, 5)
     return {
         "insertion_invariant": insertion_invariant,
-        "nu_all_one": nu_all_one,
-        "singleton_inductive": singleton,
-        "agree": insertion_invariant == nu_all_one == singleton,
+        "nu_all_one": singleton.nu_all_one,
+        "singleton_inductive": singleton.inductive,
+        "agree": insertion_invariant == singleton.nu_all_one == singleton.inductive,
         "witness": witness,
     }

@@ -108,7 +108,7 @@ def criterion_admissibility() -> dict:
     control fails condition (vi) with a witness."""
     t0 = time.perf_counter()
     fams: list[WeightFamily] = [ClassIndicatorFamily(c) for c in ALL_CLASSES]
-    for base in ("tensor", "free", "bifree"):
+    for base in DeformedFamily.BASES:
         for z in ZETAS:
             fams.append(DeformedFamily(base, z))
     results = {}

@@ -101,7 +101,11 @@ class BasicCoefficients:
     ``nu[(q, Q)]`` is the weight of the nesting diagram with inner legs q, Q
     (for q == Q the three-leg diagram with a single inner q-leg), and
     ``xi[(q, Q)]`` the weight of the crossing diagram with inner legs q, Q.
+    The sixtuple lists the slots ``KEYS`` names, which are also the keys of
+    the JSON object.
     """
+
+    KEYS = ("nu_w", "nu_b", "nu_wb", "xi_w", "xi_b", "xi_wb")
 
     def __init__(self, nu: dict[tuple[str, str], complex], xi: dict[tuple[str, str], complex]):
         self.nu = dict(nu)
@@ -110,27 +114,12 @@ class BasicCoefficients:
     def sixtuple(self) -> tuple[complex, ...]:
         """(nu_w, nu_b, nu_wb, xi_w, xi_b, xi_wb)."""
         w, b = DEFAULT_ALPHABET
-        return (
-            self.nu[(w, w)],
-            self.nu[(b, b)],
-            self.nu[(w, b)],
-            self.xi[(w, w)],
-            self.xi[(b, b)],
-            self.xi[(w, b)],
-        )
+        return tuple(d[pair] for d in (self.nu, self.xi) for pair in ((w, w), (b, b), (w, b)))
 
     def to_json(self) -> dict:
-        w, b = DEFAULT_ALPHABET
         def enc(z: complex):
             return z.real if abs(z.imag) <= EPS else {"re": z.real, "im": z.imag}
-        return {
-            "nu_w": enc(self.nu[(w, w)]),
-            "nu_b": enc(self.nu[(b, b)]),
-            "nu_wb": enc(self.nu[(w, b)]),
-            "xi_w": enc(self.xi[(w, w)]),
-            "xi_b": enc(self.xi[(b, b)]),
-            "xi_wb": enc(self.xi[(w, b)]),
-        }
+        return {key: enc(z) for key, z in zip(self.KEYS, self.sixtuple())}
 
     @classmethod
     def from_diagrams(cls, value: Callable[[Partition], complex]) -> "BasicCoefficients":
@@ -146,18 +135,18 @@ class BasicCoefficients:
     @classmethod
     def from_sixtuple(cls, six) -> "BasicCoefficients":
         """The inverse of :meth:`sixtuple`: each (b, w) slot is the
-        conjugate of its (w, b) slot."""
+        conjugate of its (w, b) slot, except that a zero is its own mirror
+        image, so a +0j slot stays +0j in both orders."""
         w, b = DEFAULT_ALPHABET
         nu_w, nu_b, nu_wb, xi_w, xi_b, xi_wb = map(complex, six)
-        nu = {(w, w): nu_w, (b, b): nu_b, (w, b): nu_wb, (b, w): nu_wb.conjugate()}
-        xi = {(w, w): xi_w, (b, b): xi_b, (w, b): xi_wb, (b, w): xi_wb.conjugate()}
+        nu = {(w, w): nu_w, (b, b): nu_b, (w, b): nu_wb, (b, w): nu_wb.conjugate() or nu_wb}
+        xi = {(w, w): xi_w, (b, b): xi_b, (w, b): xi_wb, (b, w): xi_wb.conjugate() or xi_wb}
         return cls(nu, xi)
 
     @classmethod
     def from_json(cls, obj: dict) -> "BasicCoefficients":
         json_expect(obj, "an object", "basic coefficients")
-        keys = ("nu_w", "nu_b", "nu_wb", "xi_w", "xi_b", "xi_wb")
-        return cls.from_sixtuple(json_complex(obj[key], key) for key in keys)
+        return cls.from_sixtuple(json_complex(obj[key], key) for key in cls.KEYS)
 
     def __repr__(self) -> str:
         return f"BasicCoefficients({self.to_json()})"
@@ -283,12 +272,19 @@ class ClassIndicatorFamily(ReductionFamily):
 class DeformedFamily(ReductionFamily):
     """One-parameter deformation of the tensor, free or bifree pattern.
 
-    ``zeta`` is renormalized to the unit circle on input; the bicolor basic
-    coefficients carry conj(zeta) in the (w, b) slot and zeta in (b, w).
+    ``zeta`` is renormalized to the unit circle on input.  ``SHAPES[base]``
+    is the sixtuple (nu_w, nu_b, nu_wb, xi_w, xi_b, xi_wb) as a function of
+    z = conj(zeta), which the base puts in the (w, b) slots it deforms; the
+    (b, w) slots carry zeta.  ``classify_pattern`` reads the same table.
     """
 
     kind = "deformed"
-    BASES = ("tensor", "free", "bifree")
+    SHAPES = {
+        "tensor": lambda z: (1, 1, z, 1, 1, z),
+        "free": lambda z: (1, 1, z, 0, 0, 0),
+        "bifree": lambda z: (1, 1, 0, 0, 0, z),
+    }
+    BASES = tuple(SHAPES)
 
     def __init__(self, base: str, zeta: complex):
         if base not in self.BASES:
@@ -300,18 +296,7 @@ class DeformedFamily(ReductionFamily):
         super().__init__(name=f"deformed:{base}:{zeta:.4g}")
         self.base = base
         self.zeta = zeta
-        w, b = DEFAULT_ALPHABET
-        one, zero = complex(1), complex(0)
-        zc = zeta.conjugate()
-        nu = {(w, w): one, (b, b): one, (w, b): zc, (b, w): zeta}
-        if base == "tensor":
-            xi = {(w, w): one, (b, b): one, (w, b): zc, (b, w): zeta}
-        elif base == "free":
-            xi = {(w, w): zero, (b, b): zero, (w, b): zero, (b, w): zero}
-        else:  # bifree
-            nu = {(w, w): one, (b, b): one, (w, b): zero, (b, w): zero}
-            xi = {(w, w): zero, (b, b): zero, (w, b): zc, (b, w): zeta}
-        self._bc = BasicCoefficients(nu, xi)
+        self._bc = BasicCoefficients.from_sixtuple(self.SHAPES[base](zeta.conjugate()))
 
     def descriptor(self) -> dict:
         return {
@@ -442,17 +427,17 @@ def _canonical_step(p: Partition) -> tuple:
 
 
 def _two_block_step(p: Partition) -> tuple:
-    """The step that resolves a two-block partition to basic coefficients.
+    """The step that resolves a reduced, non-interval two-block partition
+    to basic coefficients.
 
     Normalizes both ends (face-change plus merge while the two extremal legs
-    of an end share a block), which shrinks any partition of more than four
-    legs into a position where one block can be split; four legs or fewer hit
-    the basic diagrams directly.
+    of an end share a block), which keeps two blocks and keeps the partition
+    non-interval, and shrinks any partition of more than four legs into a
+    position where one block can be split; four legs or fewer hit the basic
+    diagrams directly.
     """
     while True:
         p = p.reduce()
-        if p.block_count <= 1 or p.is_interval():
-            return ("one",)
         n = p.n
         if p._block_index[1] == p._block_index[2]:
             p = p.change_extremal_face("first", p.word[1]).merge_legs(1)

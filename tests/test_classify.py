@@ -81,6 +81,14 @@ class TestClassifyPattern:
         assert isinstance(got, Deformed) and got.base == "bifree"
         assert abs(got.zeta - cmath.exp(-1j * theta)) < 1e-9
 
+    def test_shapes_at_one_are_the_class_patterns(self):
+        # at zeta = 1 each deformation is its base's 0/1 class, so the
+        # deformation table and PATTERNS check each other
+        classes = {"tensor": ClassId.A, "free": ClassId.NC, "bifree": ClassId.biNC}
+        assert DeformedFamily.BASES == tuple(classes)
+        for base, c in classes.items():
+            assert PATTERNS.get(DeformedFamily.SHAPES[base](1)) == c
+
     def test_each_deformation_recovers_its_parameters(self):
         for base in ("tensor", "free", "bifree"):
             zeta = cmath.exp(1.1j)

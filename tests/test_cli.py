@@ -6,6 +6,7 @@ import random
 import pytest
 
 from multifaced import cli
+from multifaced.classify import BudgetExceeded
 from multifaced.cli import main
 from multifaced.cumulants import random_table, table_to_json
 
@@ -117,6 +118,13 @@ class TestCheckAdmissible:
         code, out, err = run(capsys, "check-admissible", "--family", json.dumps(fam), "--max-legs", "1")
         assert code == 1 and out == "" and err.startswith("malformed input: faces ['x']")
 
+    def test_pretty_is_the_same_object(self, capsys):
+        argv = ("check-admissible", "--family", '{"kind": "deformed", "base": "free", "zeta": {"angle": 1}}', "--max-legs", "4")
+        code, compact, _ = run(capsys, *argv)
+        pretty_code, pretty, _ = run(capsys, *argv, "--pretty")
+        assert code == pretty_code == 0 and pretty != compact
+        assert json.loads(pretty) == json.loads(compact)
+
     def test_nan_zeta_rejected(self, capsys):
         fam = '{"kind": "deformed", "base": "tensor", "zeta": {"re": NaN, "im": 0}}'
         code, out, err = run(capsys, "check-admissible", "--family", fam, "--max-legs", "3")
@@ -141,6 +149,15 @@ class TestClosure:
         gens = '{"generators": ["xx/12", "wxw/13|2"]}'
         code, out, err = run(capsys, "closure", "--generators", gens, "--max-legs", "3")
         assert code == 1 and out == "" and err.startswith("malformed input: faces ['x']")
+
+    def test_budget_exceeded_exits_three(self, capsys, monkeypatch):
+        def over_budget(*args, **kwargs):
+            raise BudgetExceeded("closure exceeded 5 partitions")
+
+        monkeypatch.setattr(cli, "closure_generate", over_budget)
+        code, out, err = run(capsys, "closure", "--generators", '{"generators": []}', "--max-legs", "3")
+        assert code == 3 and out == ""
+        assert err.startswith("budget exceeded: closure exceeded 5 partitions")
 
 
 class TestClassify:
@@ -188,6 +205,12 @@ class TestClassify:
         code, out, err = run(capsys, "classify", "--basic", basic)
         assert code == 1 and out == "" and "malformed input" in err
 
+    def test_pretty_is_the_same_object(self, capsys):
+        basic = '{"nu_w":1,"nu_b":1,"nu_wb":{"re":0,"im":-1},"xi_w":0,"xi_b":0,"xi_wb":0}'
+        code, compact, _ = run(capsys, "classify", "--basic", basic)
+        pretty_code, pretty, _ = run(capsys, "classify", "--basic", basic, "--pretty")
+        assert code == pretty_code == 0 and pretty != compact
+        assert json.loads(pretty) == json.loads(compact) and json.loads(compact)["base"] == "free"
 
     def test_wrong_shape_rejected(self, capsys):
         code, out, err = run(capsys, "classify", "--basic", "[1]")
@@ -272,6 +295,30 @@ class TestProduct:
         code, out, err = run(capsys, "product", "--query", str(path), "--combinatorial")
         assert code == 1 and out == ""
         assert err.startswith("malformed input: --combinatorial needs a class-indicator family")
+
+    def test_failed_cross_check_exits_two(self, capsys, tmp_path, monkeypatch):
+        path, _, _ = make_query(tmp_path)
+        moment = cli.combinatorial_moment
+        monkeypatch.setattr(cli, "combinatorial_moment", lambda *args: moment(*args) + 1)
+        code, out, _ = run(capsys, "product", "--query", str(path), "--combinatorial")
+        data = json.loads(out)
+        assert code == 2 and data["cross_check"] is False
+        combinatorial = complex(data["combinatorial"]["re"], data["combinatorial"]["im"])
+        assert abs(combinatorial - complex(data["value"]["re"], data["value"]["im"]) - 1) < 1e-9
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_foreign_face_rejected(self, capsys, copies):
+        # the word "x a, w c" repeated; both lengths are rejected before
+        # any moment is computed
+        x = {"degree_bound": 4, "generators": [{"face": "x", "name": "a"}],
+             "values": [{"word": [["x", "a"]] * k, "value": 0.5} for k in range(1, 5)]}
+        w = {"degree_bound": 4, "generators": [{"face": "w", "name": "c"}],
+             "values": [{"word": [["w", "c"]] * k, "value": 0.5} for k in range(1, 5)]}
+        word = [{"factor": 1, "face": "x", "name": "a"}, {"factor": 2, "face": "w", "name": "c"}] * copies
+        query = {"family": {"kind": "class", "class": "NC"}, "factors": [x, w], "word": word}
+        code, out, err = run(capsys, "product", "--query", json.dumps(query))
+        assert code == 1 and out == ""
+        assert err.startswith("malformed input: faces ['x'] not in alphabet ('w', 'b')")
 
     def test_explain(self, capsys, tmp_path):
         path, _, _ = make_query(tmp_path)

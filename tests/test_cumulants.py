@@ -76,6 +76,13 @@ class TestTables:
         with pytest.raises(ValueError, match="zz"):
             table_from_json(obj)
 
+    def test_json_table_rejects_foreign_face(self):
+        # the weight layer has the two faces w and b only
+        obj = table_to_json(random_table(GENS, 2, rng()))
+        obj["generators"][0]["face"] = "x"
+        with pytest.raises(ValueError, match=re.escape("faces ['x'] not in alphabet ('w', 'b')")):
+            table_from_json(obj)
+
 
 class TestExpLog:
     def test_degree_one_identity(self):

@@ -1,6 +1,7 @@
 """Weight families: evaluation, admissibility, basic coefficients."""
 
 import cmath
+import itertools
 import json
 import math
 import random
@@ -354,17 +355,20 @@ class TestStructuralProperties:
                     assert approx(fam.evaluate(p), complex(member(c, p)))
 
     def test_multiplicative_under_concatenation(self):
-        rng = random.Random(1)
-        fams = [DeformedFamily("tensor", 1j), ClassIndicatorFamily(ClassId.biNC)]
-        pool = [p for w in all_words("wb", 4) for p in enumerate_partitions(w)]
-        for fam in fams:
-            for _ in range(60):
-                p, q = rng.choice(pool), rng.choice(pool)
-                if p.n + q.n > 8:
-                    continue
-                assert approx(
-                    fam.evaluate(concatenate([p, q])), fam.evaluate(p) * fam.evaluate(q)
-                )
+        # every pair of partitions with at most three legs; the split
+        # relation's negative control breaks the property
+        pairs = list(itertools.product(partitions_upto(3), repeat=2))
+        assert len(pairs) == 2500
+
+        def breaks(fam):
+            return sum(
+                not approx(fam.evaluate(concatenate([p, q])), fam.evaluate(p) * fam.evaluate(q))
+                for p, q in pairs
+            )
+
+        for fam in stock_families():
+            assert breaks(fam) == 0, fam.name
+        assert breaks(ConstantBlockFamily(0.7)) > 0
 
     def test_support_is_closed_under_operations(self):
         # spot checks of the closure rules on the support of a deformation
