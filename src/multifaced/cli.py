@@ -16,9 +16,9 @@ from . import verify as _verify
 from .classes import ALL_CLASSES, ClassId, member
 from .classify import BudgetExceeded, Deformed, classify_pattern, closure_generate, hasse_verify
 from .cumulants import table_from_json
-from .partitions import DEFAULT_ALPHABET, PartitionError, enumerate_partitions, parse_diagram
+from .partitions import DEFAULT_ALPHABET, PartitionError, enumerate_partitions, json_expect, json_field, parse_diagram
 from .product import Product, combinatorial_moment
-from .weights import EPS, BasicCoefficients, check_admissible, family_from_json, json_expect
+from .weights import EPS, BasicCoefficients, check_admissible, family_from_json
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -118,7 +118,7 @@ def cmd_closure(args) -> int:
     _check_legs(args.max_legs)
     _warn_legs(args.max_legs)
     obj = _load_json_arg(args.generators)
-    diagrams = obj["generators"] if isinstance(obj, dict) else obj
+    diagrams = json_field(obj, "generators", "closure generators") if isinstance(obj, dict) else obj
     gens = [parse_diagram(json_expect(d, "a string", "generator"), DEFAULT_ALPHABET) for d in json_expect(diagrams, "a list", "generators")]
     result = sorted(closure_generate(gens, args.max_legs), key=lambda p: (p.n, str(p)))
     _emit({"max_legs": args.max_legs, "count": len(result), "partitions": [str(p) for p in result]}, args.pretty)
@@ -156,7 +156,7 @@ def _query_word(entries: list, factors: tuple) -> tuple:
     for entry in entries:
         if not isinstance(entry, dict):
             raise ValueError(f"word entry {json.dumps(entry)}: not an object")
-        kappa, face, name = entry["factor"], entry["face"], entry["name"]
+        kappa, face, name = (json_field(entry, key, f"word entry {json.dumps(entry)}") for key in ("factor", "face", "name"))
         if type(kappa) is not int or not 1 <= kappa <= len(factors):
             raise ValueError(f"word entry {json.dumps(entry)}: factor must be an integer in 1..{len(factors)}")
         if (face, name) not in factors[kappa - 1].generators:
@@ -167,9 +167,9 @@ def _query_word(entries: list, factors: tuple) -> tuple:
 
 def cmd_product(args) -> int:
     query = json_expect(_load_json_arg(args.query), "an object", "product query")
-    family = family_from_json(query["family"])
-    factors = tuple(table_from_json(t) for t in json_expect(query["factors"], "a list", "factors"))
-    word = _query_word(json_expect(query["word"], "a list", "word"), factors)
+    family = family_from_json(json_field(query, "family", "product query"))
+    factors = tuple(table_from_json(t) for t in json_expect(json_field(query, "factors", "product query"), "a list", "factors"))
+    word = _query_word(json_expect(json_field(query, "word", "product query"), "a list", "word"), factors)
     if args.combinatorial and family.kind != "class":
         raise ValueError("--combinatorial needs a class-indicator family")
     prod = Product(family, factors)

@@ -26,8 +26,8 @@ import math
 import random
 from typing import Callable, Iterable, Sequence
 
-from .partitions import Partition, check_faces, pure_plan, set_partitions
-from .weights import WeightFamily, json_complex, json_expect
+from .partitions import Partition, check_faces, json_expect, json_field, pure_plan, set_partitions
+from .weights import WeightFamily, json_complex
 
 # A generator letter is (face, name); a word is a tuple of letters.
 Letter = tuple[str, str]
@@ -335,19 +335,23 @@ def table_from_json(obj: dict) -> FunctionalTable:
     """
     json_expect(obj, "an object", "table")
     generators = []
-    for g in json_expect(obj["generators"], "a list", "generators"):
+    for g in json_expect(json_field(obj, "generators", "table"), "a list", "generators"):
         json_expect(g, "an object", "generator")
-        generators.append((json_expect(g["face"], "a string", "generator face"), json_expect(g["name"], "a string", "generator name")))
+        generators.append((
+            json_expect(json_field(g, "face", "generator"), "a string", "generator face"),
+            json_expect(json_field(g, "name", "generator"), "a string", "generator name"),
+        ))
     check_faces(f for f, _ in generators)
-    degree_bound = json_expect(obj["degree_bound"], "an integer", "degree_bound")
+    degree_bound = json_expect(json_field(obj, "degree_bound", "table"), "an integer", "degree_bound")
     declared = set(generators)
     values: dict[Word, complex] = {}
-    for entry in json_expect(obj["values"], "a list", "table values"):
+    for entry in json_expect(json_field(obj, "values", "table"), "a list", "table values"):
         json_expect(entry, "an object", "table value")
-        word = tuple(_letter(g) for g in json_expect(entry["word"], "a list", "table word"))
+        word = tuple(_letter(g) for g in json_expect(json_field(entry, "word", "table value"), "a list", "table word"))
         if not 1 <= len(word) <= degree_bound or not declared.issuperset(word):
             raise ValueError(f"word {_word_json(word)} is not over the declared generators up to degree {degree_bound}")
-        values[word] = json_complex(entry["value"], f"value of word {_word_json(word)}")
+        what = f"value of word {_word_json(word)}"
+        values[word] = json_complex(json_field(entry, "value", f"table {what}"), what)
     table = FunctionalTable(generators, degree_bound, values=values)
     for word in table.words():
         if word not in values:

@@ -19,6 +19,7 @@ layers are two-faced.
 from __future__ import annotations
 
 import itertools
+import json
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -484,9 +485,37 @@ def parse_diagram(text: str, alphabet: Sequence[str] | None = None) -> Partition
     return Partition(word, blocks)
 
 
+# -- JSON shape checks ---------------------------------------------------------
+
+_JSON_KINDS = {
+    "an object": dict,
+    "a list": (list, tuple),
+    "a string": str,
+    "an integer": int,
+    "a number": (int, float),
+}
+
+
+def json_expect(value, kind: str, what: str):
+    """``value`` if it is of the JSON kind (a key of ``_JSON_KINDS``), else
+    ValueError naming ``what`` and the value."""
+    if not isinstance(value, _JSON_KINDS[kind]):
+        raise ValueError(f"{what} must be {kind}, got {json.dumps(value, default=repr)}")
+    return value
+
+
+def json_field(obj: dict, key: str, what: str):
+    """``obj[key]``, else ValueError naming ``what`` and the missing key."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"{what} has no key {key!r}") from None
+
+
 def partition_to_json(p: Partition) -> dict:
     return {"word": p.word, "blocks": [list(b) for b in p.blocks]}
 
 
 def partition_from_json(obj: dict) -> Partition:
-    return Partition(obj["word"], obj["blocks"])
+    json_expect(obj, "an object", "partition")
+    return Partition(json_field(obj, "word", "partition"), json_field(obj, "blocks", "partition"))

@@ -12,16 +12,15 @@ reduction: reduce, peel the first two legs with the split relation
 resolve two-block partitions down to the four basic coefficients
 (monochrome/bicolor nesting ``nu`` and crossing ``xi``).  The path of the
 reduction depends on the partition alone; the family enters only at the
-``nu``/``xi`` leaves.  So the reduction is computed once per partition, as
-one step per ``(word, blocks)`` key in a table all these families share,
-and each family applies the steps with its own basic coefficients.
+``nu``/``xi`` leaves.  So one product-node store, shared by these families,
+holds every weight once as a product of leaves, and each family holds one
+list of values indexed by node id.
 
-Every family memoizes its values in one dict keyed by the raw
-``(word, blocks)`` pair, and ``weight(faces, blocks)`` is its one reader:
-on a miss it calls the family's ``_value(faces, blocks)`` hook.
-``evaluate(p)`` is ``weight`` of a ``Partition``'s word and blocks.  A
-reduction-backed family builds a ``Partition`` only for a step new to the
-shared table; a table or predicate family builds one on a miss of its memo.
+``weight(faces, blocks)`` is every family's one reader and ``evaluate(p)``
+is ``weight`` of a ``Partition``'s word and blocks.  A reduction-backed
+family builds a ``Partition`` only for a key new to the store; any other
+family keeps one memo dict keyed by ``(word, blocks)``, filled on a miss
+from its ``_value(faces, blocks)`` hook.
 """
 
 from __future__ import annotations
@@ -36,6 +35,8 @@ from .partitions import (
     DEFAULT_ALPHABET,
     Blocks,
     Partition,
+    json_expect,
+    json_field,
     parse_diagram,
     partitions_upto,
 )
@@ -46,25 +47,6 @@ EPS = 1e-9
 def approx(a: complex, b: complex) -> bool:
     """Equality of complex scalars up to the absolute tolerance ``EPS``."""
     return abs(a - b) <= EPS
-
-
-# -- JSON shape checks ---------------------------------------------------------
-
-_JSON_KINDS = {
-    "an object": dict,
-    "a list": (list, tuple),
-    "a string": str,
-    "an integer": int,
-    "a number": (int, float),
-}
-
-
-def json_expect(value, kind: str, what: str):
-    """``value`` if it is of the JSON kind (a key of ``_JSON_KINDS``), else
-    ValueError naming ``what`` and the value."""
-    if not isinstance(value, _JSON_KINDS[kind]):
-        raise ValueError(f"{what} must be {kind}, got {json.dumps(value, default=repr)}")
-    return value
 
 
 def json_complex(value, what: str) -> complex:
@@ -146,7 +128,7 @@ class BasicCoefficients:
     @classmethod
     def from_json(cls, obj: dict) -> "BasicCoefficients":
         json_expect(obj, "an object", "basic coefficients")
-        return cls.from_sixtuple(json_complex(obj[key], key) for key in cls.KEYS)
+        return cls.from_sixtuple(json_complex(json_field(obj, key, "basic coefficients"), key) for key in cls.KEYS)
 
     def __repr__(self) -> str:
         return f"BasicCoefficients({self.to_json()})"
@@ -226,30 +208,28 @@ class WeightFamily:
 
 
 class ReductionFamily(WeightFamily):
-    """Weights by canonical reduction to the basic coefficients ``self._bc``.
+    """Weights by canonical reduction to the basic coefficients ``bc``.
 
-    On a miss of its memo the family reads the partition's step from the
-    table ``_STEPS`` that all reduction-backed families share, and values it
-    with its own leaves and, for the partitions the step names, ``weight``.
-    A ``Partition`` is built only when the step is new to the table.
+    No memo dict: ``_vals[i]`` is the family's value at node i of the
+    shared store, appended in node order as far as a read needs.
     """
 
-    _bc: BasicCoefficients
+    def __init__(self, name: str, bc: BasicCoefficients):
+        self.name = name
+        self._bc = bc
+        self._vals = [complex(1)] + [getattr(bc, kind)[(q, Q)] for kind, q, Q in _LEAVES]
 
-    def _value(self, faces: str, blocks: Blocks) -> complex:
-        step = _STEPS.get((faces, blocks))
-        if step is None:
-            step = _STEPS[(faces, blocks)] = _canonical_step(Partition._unsafe(faces, blocks))
-        op = step[0]
-        if op == "product":
-            return self.weight(*step[1]) * self.weight(*step[2])
-        if op == "child":
-            return self.weight(*step[1])
-        if op == "nu":
-            return self._bc.nu[step[1]]
-        if op == "xi":
-            return self._bc.xi[step[1]]
-        return complex(1)
+    def weight(self, faces: str, blocks: Blocks) -> complex:
+        try:
+            return self._vals[_ID[(faces, blocks)]]
+        except KeyError:
+            i = _node(Partition._unsafe(faces, blocks))
+        except IndexError:
+            i = _ID[(faces, blocks)]
+        vals = self._vals
+        for a, b in _NODES[len(vals):i + 1]:
+            vals.append(vals[a] * vals[b])
+        return vals[i]
 
     def basic_coefficients(self) -> BasicCoefficients:
         return self._bc
@@ -261,9 +241,8 @@ class ClassIndicatorFamily(ReductionFamily):
     kind = "class"
 
     def __init__(self, class_id: ClassId):
-        super().__init__(name=f"class:{class_id.value}")
+        super().__init__(f"class:{class_id.value}", BasicCoefficients.from_diagrams(lambda d: complex(member(class_id, d))))
         self.class_id = class_id
-        self._bc = BasicCoefficients.from_diagrams(lambda d: complex(member(class_id, d)))
 
     def descriptor(self) -> dict:
         return {"kind": "class", "class": self.class_id.value}
@@ -293,10 +272,9 @@ class DeformedFamily(ReductionFamily):
         if r <= EPS:
             raise ValueError("zeta must be nonzero")
         zeta = complex(zeta) / r
-        super().__init__(name=f"deformed:{base}:{zeta:.4g}")
+        super().__init__(f"deformed:{base}:{zeta:.4g}", BasicCoefficients.from_sixtuple(self.SHAPES[base](zeta.conjugate())))
         self.base = base
         self.zeta = zeta
-        self._bc = BasicCoefficients.from_sixtuple(self.SHAPES[base](zeta.conjugate()))
 
     def descriptor(self) -> dict:
         return {
@@ -357,27 +335,28 @@ def family_from_json(obj: dict) -> WeightFamily:
     ValueError names the first offending partition: the first entry that is
     too long or repeated, else the first missing partition in sweep order.
     """
-    kind = json_expect(obj, "an object", "weight family").get("kind")
+    kind = json_field(json_expect(obj, "an object", "weight family"), "kind", "weight family")
+    what = f"{kind} weight family"
     if kind == "class":
-        return ClassIndicatorFamily(ClassId(obj["class"]))
+        return ClassIndicatorFamily(ClassId(json_field(obj, "class", what)))
     if kind == "deformed":
-        z = obj["zeta"]
+        z = json_field(obj, "zeta", what)
         if isinstance(z, dict) and "angle" in z:
             zeta = cmath.exp(1j * json_expect(z["angle"], "a number", "zeta angle"))
         else:
             zeta = json_complex(z, "zeta")
-        return DeformedFamily(obj["base"], zeta)
+        return DeformedFamily(json_field(obj, "base", what), zeta)
     if kind == "table":
-        max_legs = json_expect(obj["max_legs"], "an integer", "max_legs")
+        max_legs = json_expect(json_field(obj, "max_legs", what), "an integer", "max_legs")
         entries = {}
-        for e in json_expect(obj["entries"], "a list", "table entries"):
+        for e in json_expect(json_field(obj, "entries", what), "a list", "table entries"):
             json_expect(e, "an object", "table entry")
-            p = parse_diagram(json_expect(e["partition"], "a string", "table entry partition"), DEFAULT_ALPHABET)
+            p = parse_diagram(json_expect(json_field(e, "partition", "table entry"), "a string", "table entry partition"), DEFAULT_ALPHABET)
             if p.n > max_legs:
                 raise ValueError(f"table entry {p} has {p.n} legs, more than max_legs {max_legs}")
             if p in entries:
                 raise ValueError(f"duplicate table entry for {p}")
-            entries[p] = json_complex(e["value"], f"value of {p}")
+            entries[p] = json_complex(json_field(e, "value", f"table entry {p}"), f"value of {p}")
         # Stops at the first gap, so it reads at most one partition more
         # than the table has entries.
         for p in partitions_upto(max_legs):
@@ -389,25 +368,35 @@ def family_from_json(obj: dict) -> WeightFamily:
 
 # -- the canonical reduction ------------------------------------------------------
 #
-# A reduction step is the first move of the canonical reduction at one
-# partition, with every partition it names given by its (word, blocks) key:
-#   ("one",)                        weight 1
-#   ("nu", (q, Q)) / ("xi", (q, Q))  a basic coefficient
-#   ("child", key)                  the weight at key
-#   ("product", united, remembered) the weight at united times the weight
-#                                   at remembered, in that order
-# The step depends on the partition alone, so one table serves every
-# reduction-backed family; it holds keys and steps, never a Partition.
+# The product-node store.  Node 0 is the unit, nodes 1-8 are the leaves
+# ("nu" or "xi", q, Q), and every later node is an interned pair (a, b) of
+# earlier ids, valued as node a times node b in that order.  ``_ID`` maps
+# each (word, blocks) key to its node.  It holds no Partition.
 
-_STEPS: dict[tuple[str, Blocks], tuple] = {}
+_LEAVES = tuple((kind, q, Q) for kind in ("nu", "xi") for q in DEFAULT_ALPHABET for Q in DEFAULT_ALPHABET)
+_NODES: list[tuple] = [("one",), *_LEAVES]
+_NODE_ID: dict[tuple, int] = {node: i for i, node in enumerate(_NODES)}
+_ID: dict[tuple[str, Blocks], int] = {}
 
 
-def _key(p: Partition) -> tuple[str, Blocks]:
-    return (p.word, p.blocks)
+def _node(p: Partition) -> int:
+    i = _ID.get((p.word, p.blocks))
+    if i is None:
+        i = _ID[(p.word, p.blocks)] = _canonical_step(p)
+    return i
 
 
-def _canonical_step(p: Partition) -> tuple:
-    """The step of the canonical reduction at p.
+def _product(united: Partition, remembered: Partition) -> int:
+    node = (_node(united), _node(remembered))
+    i = _NODE_ID.get(node)
+    if i is None:
+        i = _NODE_ID[node] = len(_NODES)
+        _NODES.append(node)
+    return i
+
+
+def _canonical_step(p: Partition) -> int:
+    """The node id of the canonical reduction at p.
 
     Deterministic tie-breaking: always reduce first, then operate at the left
     end (merge before face change before split).  Valid for families that
@@ -416,19 +405,18 @@ def _canonical_step(p: Partition) -> tuple:
     """
     p = p.reduce()
     if p.block_count <= 1 or p.is_interval():
-        return ("one",)
+        return 0
     if p.block_count == 2:
         return _two_block_step(p)
     q = p.change_extremal_face("first", p.word[1])
     if p._block_index[1] == p._block_index[2]:
-        return ("child", _key(q.merge_legs(1)))
-    united, remembered = q.split_at(1)
-    return ("product", _key(united), _key(remembered))
+        return _node(q.merge_legs(1))
+    return _product(*q.split_at(1))
 
 
-def _two_block_step(p: Partition) -> tuple:
-    """The step that resolves a reduced, non-interval two-block partition
-    to basic coefficients.
+def _two_block_step(p: Partition) -> int:
+    """The node id that resolves a reduced, non-interval two-block
+    partition to basic coefficients.
 
     Normalizes both ends (face-change plus merge while the two extremal legs
     of an end share a block), which keeps two blocks and keeps the partition
@@ -447,19 +435,16 @@ def _two_block_step(p: Partition) -> tuple:
             continue
         break
     n = p.n
-    if n == 3:
-        return ("nu", (p.word[1], p.word[1]))
-    if n == 4:
-        if p._block_index[1] == p._block_index[4]:  # nesting {1,4},{2,3}
-            return ("nu", (p.word[1], p.word[2]))
-        return ("xi", (p.word[1], p.word[2]))  # crossing {1,3},{2,4}
+    if n <= 4:
+        # nesting {1,3},{2} or {1,4},{2,3}, or crossing {1,3},{2,4}
+        kind = "nu" if n == 3 or p._block_index[1] == p._block_index[4] else "xi"
+        return _NODE_ID[(kind, p.word[1], p.word[n - 2])]
     # n > 4: legs 1, 2 lie in distinct blocks; make their faces equal, split
     # the block of leg 3 at leg 3, and factor through the blocks of legs 1
     # and 2.  Both ends being normalized guarantees both factors have fewer
     # than n legs once their leading same-block runs merge away.
     p = p.change_extremal_face("first", p.word[1])
-    united, remembered = p.split_block_at_leg(3).split_at(1)
-    return ("product", _key(united), _key(remembered))
+    return _product(*p.split_block_at_leg(3).split_at(1))
 
 
 def evaluate_randomized(family: WeightFamily, p: Partition, rng: random.Random) -> complex:
@@ -472,8 +457,9 @@ def evaluate_randomized(family: WeightFamily, p: Partition, rng: random.Random) 
     a partition of more than four legs is split as the two-block rule does,
     and one of three or four legs, with both extremal legs recolored, is
     looked up among the basic diagrams valued by
-    ``family.basic_coefficients()``.  Neither the shared step table nor the
-    step functions are read, so this route is independent of ``evaluate``.
+    ``family.basic_coefficients()``.  Neither the product-node store nor
+    the step functions are read, so this route is independent of
+    ``evaluate``.
     """
     bc = family.basic_coefficients()
     basic: dict[Partition, complex] = {}

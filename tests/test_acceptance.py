@@ -10,7 +10,7 @@ import pytest
 from multifaced import verify
 from multifaced.classes import ClassId, member
 from multifaced.partitions import Partition
-from multifaced.weights import EPS, WeightFamily
+from multifaced.weights import EPS, ConstantBlockFamily, WeightFamily
 
 
 def _check(report):
@@ -82,6 +82,14 @@ def test_criterion_6_combinatorial():
 def test_criterion_7_product_cumulants():
     # the product-of-letters cumulant identity, one hundred tables per family
     _check(verify.criterion_product_cumulants(seed=0))
+
+
+def test_criterion_7_fails_on_split_violation(monkeypatch):
+    # the identity rests on the split relation, so the constant family that
+    # violates it fails the criterion by far more than the tolerance
+    monkeypatch.setattr(verify, "stock_families", lambda: [ConstantBlockFamily(0.7)])
+    report = verify.criterion_product_cumulants(seed=0)
+    assert report["pass"] is False and report["worst"] > 0.1
 
 
 def test_criterion_8_units():

@@ -130,6 +130,23 @@ class TestCheckAdmissible:
         code, out, err = run(capsys, "check-admissible", "--family", fam, "--max-legs", "3")
         assert code == 1 and out == "" and "malformed input" in err
 
+    @pytest.mark.parametrize(
+        "fam, message",
+        [
+            ({"class": "NC"}, "weight family has no key 'kind'"),
+            ({"kind": "class"}, "class weight family has no key 'class'"),
+            ({"kind": "deformed", "base": "free"}, "deformed weight family has no key 'zeta'"),
+            ({"kind": "deformed", "zeta": 1}, "deformed weight family has no key 'base'"),
+            ({"kind": "table", "entries": []}, "table weight family has no key 'max_legs'"),
+            ({"kind": "table", "max_legs": 1, "entries": [{"partition": "w/1"}]}, "table entry w/1 has no key 'value'"),
+            ({"kind": "table", "max_legs": 1, "entries": [{"value": 1}]}, "table entry has no key 'partition'"),
+        ],
+        ids=["kind", "class", "zeta", "base", "max_legs", "value", "partition"],
+    )
+    def test_missing_key_rejected(self, capsys, fam, message):
+        code, out, err = run(capsys, "check-admissible", "--family", json.dumps(fam), "--max-legs", "1")
+        assert code == 1 and out == "" and err == f"malformed input: {message}\n"
+
 
 class TestClosure:
     def test_interval_closure(self, capsys):
@@ -215,6 +232,10 @@ class TestClassify:
     def test_wrong_shape_rejected(self, capsys):
         code, out, err = run(capsys, "classify", "--basic", "[1]")
         assert code == 1 and out == "" and "malformed input: basic coefficients must be an object, got [1]" in err
+
+    def test_missing_key_rejected(self, capsys):
+        code, out, err = run(capsys, "classify", "--basic", '{"nu_w":1}')
+        assert code == 1 and out == "" and err == "malformed input: basic coefficients has no key 'nu_b'\n"
 
 
 class TestHasse:
@@ -335,6 +356,22 @@ class TestProduct:
     def test_wrong_shape_query_rejected(self, capsys):
         code, out, err = run(capsys, "product", "--query", "[1]")
         assert code == 1 and out == "" and "malformed input: product query must be an object, got [1]" in err
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda q: q.pop("family"), "product query has no key 'family'"),
+            (lambda q: q["factors"][0].pop("degree_bound"), "table has no key 'degree_bound'"),
+            (lambda q: q["word"][0].pop("name"), """word entry {"factor": 1, "face": "w"} has no key 'name'"""),
+        ],
+        ids=["family", "degree_bound", "name"],
+    )
+    def test_missing_key_rejected(self, capsys, tmp_path, change, message):
+        path, _, _ = make_query(tmp_path)
+        query = json.loads(path.read_text())
+        change(query)
+        code, out, err = run(capsys, "product", "--query", json.dumps(query))
+        assert code == 1 and out == "" and err == f"malformed input: {message}\n"
 
     def test_wrong_shape_factor_rejected(self, capsys, tmp_path):
         path, _, _ = make_query(tmp_path)

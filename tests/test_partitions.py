@@ -384,6 +384,10 @@ class TestTextAndJson:
     def test_json_roundtrip(self):
         p = parse_diagram("wbbwb/134|25")
         assert partition_from_json(partition_to_json(p)) == p
+        with pytest.raises(ValueError, match="^partition has no key 'blocks'$"):
+            partition_from_json({"word": "wb"})
+        with pytest.raises(ValueError, match=r"^partition must be an object, got \[1\]$"):
+            partition_from_json([1])
 
 
 # -- the sorting constructions the rewrites replaced, as == references ----------

@@ -95,9 +95,9 @@ class TestWeightStore:
 
 
 def reference_value(p, bc, rec):
-    """The recursive canonical reduction the shared step table replaced,
-    frozen here as the reference: the value of p, with ``rec`` valuing the
-    partitions it reduces to."""
+    """The recursive canonical reduction the shared product-node store
+    replaced, frozen here as the reference: the value of p, with ``rec``
+    valuing the partitions it reduces to."""
     p = p.reduce()
     if p.block_count <= 1 or p.is_interval():
         return complex(1)
@@ -152,21 +152,29 @@ def reduction_families():
     return stock_families() + [DeformedFamily(base, z) for base in DeformedFamily.BASES for z in ZETAS]
 
 
+def empty_store(monkeypatch):
+    """Give the test an empty product-node store, restored afterwards.  Node
+    ids are reassigned, so only families built after the call may be read."""
+    monkeypatch.setattr(weights, "_NODES", weights._NODES[:9])
+    monkeypatch.setattr(weights, "_NODE_ID", {node: i for i, node in enumerate(weights._NODES)})
+    monkeypatch.setattr(weights, "_ID", {})
+
+
 class TestSharedSteps:
     @pytest.mark.slow
-    def test_equals_recursive_reduction(self):
+    def test_equals_recursive_reduction(self, monkeypatch):
         # every value under repr, so the last bit counts; then again in
-        # reverse family order on an emptied table, so no family's values
-        # depend on which family filled the table first
+        # reverse family order on an emptied store, so no family's values
+        # depend on which family filled the store first
         parts = list(partitions_upto(6))
         expected = [[repr(reference_evaluator(f)(p)) for p in parts] for f in reduction_families()]
         assert [[repr(f.evaluate(p)) for p in parts] for f in reduction_families()] == expected
-        weights._STEPS.clear()
+        empty_store(monkeypatch)
         got = [[repr(f.weight(p.word, p.blocks)) for p in parts] for f in reversed(reduction_families())]
         assert got[::-1] == expected
 
     def test_corrupted_step_is_caught_by_randomized_route(self, monkeypatch):
-        # evaluate_randomized never reads the table, so one wrong leaf in it
+        # evaluate_randomized never reads the store, so one wrong id in it
         # (the bicolor nesting read as a crossing) shows as a disagreement
         def disagreements(fam):
             rng = random.Random(5)
@@ -175,8 +183,8 @@ class TestSharedSteps:
         assert disagreements(ClassIndicatorFamily(ClassId.NC)) == []
         nest = parse_diagram("wwbb/14|23")
         key = (nest.word, nest.blocks)
-        assert weights._STEPS[key] == ("nu", ("w", "b"))
-        monkeypatch.setitem(weights._STEPS, key, ("xi", ("w", "b")))
+        assert weights._ID[key] == weights._NODE_ID[("nu", "w", "b")]
+        monkeypatch.setitem(weights._ID, key, weights._NODE_ID[("xi", "w", "b")])
         assert nest in disagreements(ClassIndicatorFamily(ClassId.NC))
 
     def test_table_holds_no_partitions(self):
@@ -192,22 +200,46 @@ class TestSharedSteps:
             else:
                 atoms.add(type(x))
 
-        for key, step in weights._STEPS.items():
+        for key, i in weights._ID.items():
             walk(key)
-            walk(step)
+            walk(i)
+        for node in weights._NODES:
+            walk(node)
+        for node, i in weights._NODE_ID.items():
+            walk(node)
+            walk(i)
         assert atoms == {str, int}
 
     def test_step_hit_builds_no_partition(self, monkeypatch):
+        # a fresh family reading ids another family put in the store
+        # extends its value list without building a Partition
         parts = list(partitions_upto(4))
         for p in parts:
             ClassIndicatorFamily(ClassId.pC).evaluate(p)
 
         def refuse(cls, *args):
-            raise AssertionError("built a Partition on a step hit")
+            raise AssertionError("built a Partition on an id hit")
 
         monkeypatch.setattr(Partition, "_unsafe", classmethod(refuse))
         fam = DeformedFamily("tensor", 1j)
         assert [fam.weight(p.word, p.blocks) for p in parts] == [DeformedFamily("tensor", 1j).evaluate(p) for p in parts]
+
+    def test_store_is_shared_and_bounded(self, monkeypatch):
+        # one family's sweep puts every key in the store; a second family
+        # adds no key and holds exactly one value per node
+        empty_store(monkeypatch)
+        parts = list(partitions_upto(6))
+        first = ClassIndicatorFamily(ClassId.NCwAb)
+        for p in parts:
+            first.evaluate(p)
+        keys = len(weights._ID)
+        second = DeformedFamily("bifree", 1j)
+        for p in parts:
+            second.evaluate(p)
+        assert len(weights._ID) == keys == 15018
+        assert len(second._vals) == len(first._vals) == len(weights._NODES) == 469
+        for fam in reduction_families():
+            assert not any(isinstance(v, dict) for v in vars(fam).values()), fam.name
 
 
 class TestBasicCoefficients:
@@ -330,16 +362,15 @@ class TestConfluence:
         # a resolver that reads every bicolor nesting as a crossing and back
         # changes evaluate but not the probe, which resolves two-block
         # partitions on its own
-        real = weights._two_block_step
+        real, ids = weights._two_block_step, weights._NODE_ID
+        swap = {ids[(kind, q, Q)]: ids[(other, q, Q)] for kind, other in (("nu", "xi"), ("xi", "nu")) for q, Q in (("w", "b"), ("b", "w"))}
 
         def swapped(p):
-            step = real(p)
-            if step[0] in ("nu", "xi") and step[1][0] != step[1][1]:
-                return ("xi" if step[0] == "nu" else "nu", step[1])
-            return step
+            i = real(p)
+            return swap.get(i, i)
 
         monkeypatch.setattr(weights, "_two_block_step", swapped)
-        monkeypatch.setattr(weights, "_STEPS", {})
+        empty_store(monkeypatch)
         fam, rng = ClassIndicatorFamily(ClassId.NC), random.Random(5)
         assert any(not approx(fam.evaluate(p), evaluate_randomized(fam, p, rng)) for p in partitions_upto(5))
 
