@@ -186,8 +186,8 @@ _PREDICATES: dict[ClassId, Callable[[Partition], bool]] = {
 
 def member(c: ClassId, p: Partition) -> bool:
     """Membership of a two-faced partition in one of the twelve classes."""
-    bad = set(p.word) - {W, B}
-    if bad:
+    if p.word.strip(W + B):
+        bad = set(p.word) - {W, B}
         raise ValueError(f"two-faced classes need faces {{'w','b'}}, got {sorted(bad)}")
     return _PREDICATES[c](p)
 

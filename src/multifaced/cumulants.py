@@ -12,10 +12,13 @@ by the triangular recursion in the word length.
 Both sums run on ``partitions.pure_plan((1,) * n)``, the plan the product
 engine uses for a word of one factor: one value per nonempty subset of the
 word's positions, read once, and each partition as ``(j, ids)``, its index
-in ``set_partitions(n)`` and the ids of its blocks among the subsets.  A
-term is the weight times the block values, multiplied weight first and in
-block order, as in ``Product.moment``.  ``exp_alpha``, ``cumulant`` and
-the product thus share one plan type.
+in ``set_partitions(n)`` and the ids of its blocks among the subsets.  The
+weight of partition j is slot j of the family's row of the word's face
+word (``WeightFamily.row``), filled from ``weight`` on its first read and
+shared by every table, transform and ``Product`` of the family.  A term is
+the weight times the block values, multiplied weight first and in block
+order, as in ``Product.moment``.  ``exp_alpha``, ``cumulant`` and the
+product thus share one plan type and one weight row per face word.
 """
 
 from __future__ import annotations
@@ -113,11 +116,14 @@ def exp_alpha(family: WeightFamily, psi: FunctionalTable) -> FunctionalTable:
         faces = faces_of(word)
         parts = set_partitions(n)
         _, subsets, terms = pure_plan((1,) * n)
+        row = family.row(faces)
         leg = word.__getitem__
         cumulants = [psi.value(tuple(map(leg, positions))) for _, positions, _ in subsets]
         total = 0
         for j, ids in terms:
-            a = weight(faces, parts[j])
+            a = row[j]
+            if a is None:
+                a = row[j] = weight(faces, parts[j])
             if a != 0:
                 total += math.prod(map(cumulants.__getitem__, ids), start=a)
         values[word] = total
@@ -144,8 +150,11 @@ def cumulant(family: WeightFamily, table: FunctionalTable, word: Word, cache: di
             sub = tuple(map(leg, positions))
             got = cache.get(sub)
             cumulants.append(cumulant(family, table, sub, cache) if got is None else got)
+        row = family.row(faces)
         for j, ids in terms[1:]:
-            a = family.weight(faces, parts[j])
+            a = row[j]
+            if a is None:
+                a = row[j] = family.weight(faces, parts[j])
             if a != 0:
                 value = value - math.prod(map(cumulants.__getitem__, ids), start=a)
     cache[word] = value

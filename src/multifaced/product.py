@@ -20,8 +20,10 @@ subsequences.  A ``Product`` keeps them as one vector per (factor, factor
 subword), indexed by position mask and filled once from the factor's
 cumulant memo.  Per word, ``Product.moment`` builds one subword tuple per
 factor present and reads that factor's vector, picks each block's cumulant
-by its mask, reads the weights from a row per face word, and multiplies
-each term weight first, blocks in order.  It is the one summation loop:
+by its mask, reads the weights from the family's row of the face word
+(``WeightFamily.row``, shared with every other ``Product`` of the family and
+with ``exp_alpha`` and ``cumulant``), and multiplies each term weight first,
+blocks in order.  It is the one summation loop:
 given an ``expansion`` list it also records each partition's weight and
 contribution, which ``multifaced product --explain`` prints.
 
@@ -138,11 +140,12 @@ class Product:
       of a word at that factor's positions): slot ``mask`` holds the
       cumulant of the subsequence whose positions are the set bits of
       ``mask``, filled once from the memo, so a word reads each of its block
-      cumulants by the block's mask in the plan;
-    * one weight row per face word: slot j holds ``family.weight`` of
-      ``set_partitions(n)[j]``, read on first use, so the family is asked
-      only for factor-pure partitions and its own memo stays the one weight
-      store.
+      cumulants by the block's mask in the plan.
+
+    Weights are read from ``family.row(faces)``, the family's row of the
+    face word, by the index j of each term; a slot still None is filled
+    from ``family.weight``, so the family is asked only for factor-pure
+    partitions.
     """
 
     def __init__(self, family: WeightFamily, factors: Sequence[FunctionalTable]):
@@ -157,7 +160,6 @@ class Product:
         self._tagged = {g: (i + 1, g[0], g[1]) for i, t in enumerate(self.factors) for g in t.generators}
         self._cum_cache: list[dict[Word, complex]] = [dict() for _ in self.factors]
         self._vectors: list[dict[TaggedWord, list]] = [dict() for _ in self.factors]
-        self._weight_rows: dict[str, list] = {}
 
     def tag(self, word: Word) -> TaggedWord:
         return tuple(map(self._tagged.__getitem__, word))
@@ -202,9 +204,7 @@ class Product:
             vecs[f] = vec
         cv = [vecs[f][mask] for f, _, mask in subsets]
         parts = set_partitions(len(word))
-        row = self._weight_rows.get(faces)
-        if row is None:
-            row = self._weight_rows[faces] = [None] * len(parts)
+        row = self.family.row(faces)
         weight = self.family.weight
         cumulants = cv.__getitem__
         total = 0

@@ -21,6 +21,13 @@ is ``weight`` of a ``Partition``'s word and blocks.  A reduction-backed
 family builds a ``Partition`` only for a key new to the store; any other
 family keeps one memo dict keyed by ``(word, blocks)``, filled on a miss
 from its ``_value(faces, blocks)`` hook.
+
+The summation loops (``Product.moment``, ``exp_alpha``, ``cumulant``) read
+weights by the index j of ``set_partitions(n)`` that their plan terms
+carry.  Each family keeps one row per face word for them, ``row(faces)``:
+slot j is None until a loop fills it from ``weight``, so a row holds only
+the slots some loop has read.  ``weight`` and ``evaluate`` never create a
+row.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .partitions import (
     json_field,
     parse_diagram,
     partitions_upto,
+    set_partitions,
 )
 
 EPS = 1e-9
@@ -181,6 +189,7 @@ class WeightFamily:
     def __init__(self, name: str = ""):
         self.name = name or self.kind
         self._cache: dict[tuple[str, Blocks], complex] = {}
+        self._rows: dict[str, list] = {}
 
     def evaluate(self, p: Partition) -> complex:
         return self.weight(p.word, p.blocks)
@@ -192,6 +201,15 @@ class WeightFamily:
         if v is None:
             v = self._cache[(faces, blocks)] = self._value(faces, blocks)
         return v
+
+    def row(self, faces: str) -> list:
+        """The weight row of a face word, shared by every summation loop:
+        slot j is ``weight(faces, set_partitions(n)[j])`` once a loop has
+        filled it, else None."""
+        row = self._rows.get(faces)
+        if row is None:
+            row = self._rows[faces] = [None] * len(set_partitions(len(faces)))
+        return row
 
     def _value(self, faces: str, blocks: Blocks) -> complex:
         raise NotImplementedError
@@ -211,11 +229,13 @@ class ReductionFamily(WeightFamily):
     """Weights by canonical reduction to the basic coefficients ``bc``.
 
     No memo dict: ``_vals[i]`` is the family's value at node i of the
-    shared store, appended in node order as far as a read needs.
+    shared store, appended in node order as far as a read needs.  The
+    family's one dict is the row store that ``row`` reads.
     """
 
     def __init__(self, name: str, bc: BasicCoefficients):
         self.name = name
+        self._rows: dict[str, list] = {}
         self._bc = bc
         self._vals = [complex(1)] + [getattr(bc, kind)[(q, Q)] for kind, q, Q in _LEAVES]
 

@@ -7,10 +7,10 @@ The same reports back the ``multifaced verify`` command.
 
 import pytest
 
-from multifaced import verify
+from multifaced import classes, verify
 from multifaced.classes import ClassId, member
-from multifaced.partitions import Partition
-from multifaced.weights import EPS, ConstantBlockFamily, WeightFamily
+from multifaced.partitions import Partition, parse_diagram, partition_index
+from multifaced.weights import EPS, ClassIndicatorFamily, ConstantBlockFamily, WeightFamily
 
 
 def _check(report):
@@ -79,6 +79,17 @@ def test_criterion_6_combinatorial():
     _check(verify.criterion_combinatorial(seed=0))
 
 
+def test_criterion_6_fails_on_wrong_family(monkeypatch):
+    # restricted to NC the criterion passes; with the interval family in
+    # the product engine, inclusion-exclusion over NC no longer matches
+    monkeypatch.setattr(verify, "ALL_CLASSES", (ClassId.NC,))
+    report = verify.criterion_combinatorial(seed=0)
+    assert report["pass"] is True and report["worst"] <= EPS
+    monkeypatch.setattr(verify, "ClassIndicatorFamily", lambda c: ClassIndicatorFamily(ClassId.I))
+    report = verify.criterion_combinatorial(seed=0)
+    assert report["pass"] is False and report["worst"] > 1
+
+
 def test_criterion_7_product_cumulants():
     # the product-of-letters cumulant identity, one hundred tables per family
     _check(verify.criterion_product_cumulants(seed=0))
@@ -105,6 +116,41 @@ def test_criterion_9_roundtrip():
     _check(verify.criterion_roundtrip(seed=0))
 
 
+def test_criterion_9_ordered_form_reads_no_row(monkeypatch):
+    # exp and log read one weight row per face word, so a wrong slot in it
+    # cancels in both round trips; only the ordered form, which reads
+    # through evaluate, sees it
+    fam = ClassIndicatorFamily(ClassId.NC)
+    p = parse_diagram("wwbb/14|23")
+    j = partition_index(p.n)[p.blocks]
+    row = fam.row
+
+    def wrong_row(faces):
+        r = row(faces)
+        if faces == p.word:
+            r[j] = 0
+        return r
+
+    monkeypatch.setattr(fam, "row", wrong_row)
+    monkeypatch.setattr(verify, "stock_families", lambda: [fam])
+    report = verify.criterion_roundtrip(seed=0)
+    assert report["worst"] <= EPS
+    assert report["worst_ordered_form"] > 0.1
+    assert report["pass"] is False
+
+
 def test_criterion_10_counting():
     # Bell and Catalan counts against independent oracles
     _check(verify.criterion_counting())
+
+
+def test_criteria_3_and_10_fail_when_nc_is_everything(monkeypatch):
+    # an NC predicate that accepts every partition counts the Bell numbers
+    # as Catalan numbers, and makes NC and A one class in the diagram
+    monkeypatch.setitem(classes._PREDICATES, ClassId.NC, lambda p: True)
+    counting = verify.criterion_counting()
+    assert counting["pass"] is False
+    assert counting["catalan"] == counting["bell"][:7]
+    hasse = verify.criterion_hasse()
+    assert hasse["pass"] is False
+    assert any("NC and A have equal member sets" in str(v) for v in hasse["violations"]), hasse["violations"]

@@ -172,6 +172,12 @@ class TestMembershipExamples:
         with pytest.raises(ValueError):
             member(ClassId.NC, parse_diagram("xy/1|2"))
 
+    @pytest.mark.parametrize("text", ["wx/1|2", "xw/12", "wxb/13|2", "bbx/1|2|3"])
+    def test_foreign_face_is_named(self, text):
+        # a foreign face at either end or inside the word, next to valid ones
+        with pytest.raises(ValueError, match=r"faces \{'w','b'\}, got \['x'\]$"):
+            member(ClassId.A, parse_diagram(text))
+
 
 class TestInvariances:
     @pytest.mark.parametrize("c", ALL_CLASSES, ids=lambda c: c.value)

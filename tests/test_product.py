@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multifaced.classes import ALL_CLASSES, ClassId, class_member_set, member
-from multifaced.cumulants import FunctionalTable, cumulant, random_table
+from multifaced.cumulants import FunctionalTable, cumulant, exp_alpha, log_alpha, random_table
 from multifaced.partitions import (
     Partition,
     all_words,
@@ -36,7 +36,14 @@ from multifaced.product import (
     well_definedness_check,
 )
 from multifaced.verify import stock_families
-from multifaced.weights import ClassIndicatorFamily, ConstantBlockFamily, DeformedFamily, MissingEntryError, TableFamily
+from multifaced.weights import (
+    ClassIndicatorFamily,
+    ConstantBlockFamily,
+    DeformedFamily,
+    MissingEntryError,
+    PredicateFamily,
+    TableFamily,
+)
 
 G1 = (("w", "a1w"), ("b", "a1b"))
 G2 = (("w", "a2w"), ("b", "a2b"))
@@ -365,6 +372,82 @@ class TestCumulantVectors:
                     assert vec[mask] == cumulant(fam, tables[f], picked, cache)
                     seen += 1
         assert seen > 100
+
+
+def counting_weight(monkeypatch, fam):
+    """Record the face word of every ``fam.weight`` call in the list returned."""
+    calls = []
+    weight = fam.weight
+
+    def counted(faces, blocks):
+        calls.append(faces)
+        return weight(faces, blocks)
+
+    monkeypatch.setattr(fam, "weight", counted)
+    return calls
+
+
+class TestWeightRows:
+    @pytest.mark.parametrize(
+        "fam",
+        [ClassIndicatorFamily(ClassId.NCwAb), DeformedFamily("free", 1j), ConstantBlockFamily(0.7), PredicateFamily("nc", lambda p: member(ClassId.NC, p))],
+        ids=lambda f: f.name,
+    )
+    def test_slots_hold_weights_and_weight_makes_no_row(self, fam):
+        for p in partitions_upto(5):
+            fam.evaluate(p)
+            fam.weight(p.word, p.blocks)
+        assert fam._rows == {}
+        r = rng()
+        exp_alpha(fam, random_table(G1, 4, r))
+        prod = Product(fam, tuple(random_table(g, 5, r) for g in (G1, G2, G3)))
+        for _ in range(100):
+            prod.moment(rand_tagged_word(r, (G1, G2, G3), r.randint(2, 5)))
+        filled = 0
+        for faces, row in fam._rows.items():
+            parts = set_partitions(len(faces))
+            assert len(row) == len(parts)
+            for j, a in enumerate(row):
+                if a is not None:
+                    assert type(a) is complex and a == fam.weight(faces, parts[j])
+                    filled += 1
+        assert filled > 100
+
+    def test_one_row_per_face_word_across_readers(self, monkeypatch):
+        # exp_alpha fills the row of every face word it meets; a second
+        # table, its cumulants and a Product of the family then read the
+        # same rows and ask the family for no weight
+        fam = DeformedFamily("tensor", cmath.exp(0.3j))
+        r = rng()
+        exp_alpha(fam, random_table(G1, 4, r))
+        assert all(None not in row for row in fam._rows.values())
+        rows = dict(fam._rows)
+        calls = counting_weight(monkeypatch, fam)
+        t = random_table(G2, 4, r)
+        assert log_alpha(fam, exp_alpha(fam, t)).values.keys() == t.values.keys()
+        prod = Product(fam, (random_table(G1, 4, r), t))
+        for n in range(1, 5):
+            for word in itertools.product([(1, *G1[0]), (2, *G2[1]), (1, *G1[1])], repeat=n):
+                prod.moment(word)
+        assert calls == []
+        assert fam._rows.keys() == rows.keys() and all(fam._rows[k] is rows[k] for k in rows)
+
+    def test_product_fills_only_factor_pure_slots(self, monkeypatch):
+        # a cold moment of a two-factor word asks for each factor-pure
+        # partition of its face word once, and for no other partition of it
+        fam = ClassIndicatorFamily(ClassId.pC)
+        r = rng()
+        prod = Product(fam, (random_table(G1, 4, r), random_table(G2, 4, r)))
+        word = ((1, "w", "a1w"), (2, "b", "a2b"), (1, "b", "a1b"), (2, "w", "a2w"), (1, "w", "a1w"), (2, "b", "a2b"), (1, "b", "a1b"))
+        faces = "wbbwwbb"
+        calls = counting_weight(monkeypatch, fam)
+        prod.moment(word)
+        terms = pure_plan((1, 2, 1, 2, 1, 2, 1))[2]
+        assert calls.count(faces) == len(terms) == 15 * 5
+        row = fam._rows[faces]
+        assert {j for j, a in enumerate(row) if a is not None} == {j for j, _ in terms}
+        Product(fam, prod.factors).moment(word)
+        assert calls.count(faces) == len(terms)
 
 
 class TestWellDefinedness:

@@ -226,7 +226,8 @@ class TestSharedSteps:
 
     def test_store_is_shared_and_bounded(self, monkeypatch):
         # one family's sweep puts every key in the store; a second family
-        # adds no key and holds exactly one value per node
+        # adds no key and holds exactly one value per node; a family's only
+        # dict is its row store, which evaluate leaves empty
         empty_store(monkeypatch)
         parts = list(partitions_upto(6))
         first = ClassIndicatorFamily(ClassId.NCwAb)
@@ -238,8 +239,9 @@ class TestSharedSteps:
             second.evaluate(p)
         assert len(weights._ID) == keys == 15018
         assert len(second._vals) == len(first._vals) == len(weights._NODES) == 469
-        for fam in reduction_families():
-            assert not any(isinstance(v, dict) for v in vars(fam).values()), fam.name
+        for fam in (first, second, *reduction_families()):
+            dicts = [v for v in vars(fam).values() if isinstance(v, dict)]
+            assert len(dicts) == 1 and dicts[0] is fam._rows and fam._rows == {}, fam.name
 
 
 class TestBasicCoefficients:
