@@ -9,8 +9,9 @@ partition layer works over other alphabets.
 from __future__ import annotations
 
 import enum
+import itertools
 from bisect import bisect
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .partitions import DEFAULT_ALPHABET, Block, Partition, partitions_upto
 
@@ -54,7 +55,11 @@ def swap_class(c: ClassId) -> ClassId:
     return _SWAP.get(c, c)
 
 
-# -- predicate building blocks -------------------------------------------------
+# -- per-shape facts ------------------------------------------------------------
+#
+# Crossings and inner legs depend on the blocks alone, so they are computed
+# once per shape (keyed by its block index) as leg masks, leg i being bit
+# n - i; a predicate then tests only the faces, through the mask of b-legs.
 
 
 def _is_noncrossing(p: Partition) -> bool:
@@ -91,89 +96,125 @@ def _cross(b: Block, c: Block) -> bool:
     return g < len(b) and c[-1] > b[g]
 
 
+class _Shape(NamedTuple):
+    """The face-independent facts of one set partition, as leg masks."""
+
+    noncrossing: bool
+    inner: int  # the inner legs
+    crossing_inner: int  # the inner legs of blocks that cross another block
+    # (its inner legs, its legs) per block of 2+ legs with an inner leg that crosses no other block
+    nested: tuple[tuple[int, int], ...]
+    pairs: tuple[int, ...]  # pC: the inner legs of each pair of blocks, 2+ legs
+    agree: tuple[int, ...]  # biNC: two legs that must share a face
+    differ: tuple[int, ...]  # biNC: two legs that must not
+
+
+_SHAPE_FACTS: dict[tuple[int, ...], _Shape] = {}
+
+
+def _shape_facts(p: Partition) -> _Shape:
+    facts = _SHAPE_FACTS.get(p._block_index)
+    if facts is None:
+        facts = _SHAPE_FACTS[p._block_index] = _facts_of(p)
+    return facts
+
+
+def _facts_of(p: Partition) -> _Shape:
+    n, blocks = p.n, p.blocks
+
+    def mask(legs) -> int:
+        return sum(1 << (n - leg) for leg in legs)
+
+    inner = _inner_legs(p)
+    crossing_inner, nested = 0, []
+    for b in blocks:
+        ib = mask(leg for leg in b if leg in inner)
+        if ib and any(_cross(b, c) for c in blocks if c is not b):
+            crossing_inner |= ib
+        elif ib and len(b) > 1:
+            nested.append((ib, mask(b)))
+    # The inner legs of the pair b, c are the legs of b strictly inside c's
+    # span and the legs of c strictly inside b's span.  (In a two-block
+    # diagram all inner legs are mutually connected, so this is the
+    # two-block reading of "connected inner legs have the same color".
+    # Propagating the color constraint through chains of crossings instead
+    # would violate closure under the block-replacement rewrite, e.g. on
+    # wwwbbb/13|25|46.)
+    pairs = set()
+    for i, b in enumerate(blocks):
+        for c in blocks[i + 1 :]:
+            if c[0] > b[-1]:
+                break  # blocks ascend by minimum: c and the rest start after b ends
+            g = mask([leg for leg in c if leg < b[-1]] + [leg for leg in b if c[0] < leg < c[-1]])
+            if g & (g - 1):
+                pairs.add(g)
+    # For i < j < k < l, i, k in one block and j, l in another, the faces
+    # of j and k differ; for i < j < l < k, i, k in one block and j, l in
+    # another, the faces of j and l agree.
+    agree, differ = set(), set()
+    for beta in blocks:
+        for gamma in blocks:
+            if gamma is beta:
+                continue
+            for i, k in itertools.combinations(beta, 2):
+                for j in gamma:
+                    if i < j < k:
+                        differ.update(mask((j, k)) for l in gamma if l > k)
+                        agree.update(mask((j, l)) for l in gamma if j < l < k)
+    return _Shape(_is_noncrossing(p), mask(inner), crossing_inner, tuple(nested), tuple(pairs), tuple(agree), tuple(differ))
+
+
+_FACE_BITS = {W: str.maketrans(W + B, "10"), B: str.maketrans(W + B, "01")}
+
+
+def _face_legs(p: Partition, face: str = B) -> int:
+    """The mask of p's legs of the given face."""
+    return int(p.word.translate(_FACE_BITS[face]) or "0", 2)
+
+
+def _monochrome(m: int, g: int) -> bool:
+    # the legs g all have one face, given the legs m of either face
+    return m & g in (0, g)
+
+
 def _all_face_outer(p: Partition, face: str) -> bool:
-    return all(p.word[leg - 1] != face for leg in _inner_legs(p))
+    return not _shape_facts(p).inner & _face_legs(p, face)
 
 
 def _is_binoncrossing(p: Partition) -> bool:
-    # For i < j < k < l and distinct blocks:
-    #   i,k in one block and j,l in the other  =>  f(j) != f(k)
-    #   i,l in one block and j,k in the other  =>  f(j)  = f(k)
-    blocks = p.blocks
-    for bi in range(len(blocks)):
-        for bj in range(len(blocks)):
-            if bi == bj:
-                continue
-            beta, gamma = blocks[bi], blocks[bj]
-            for i_leg in beta:
-                for k_leg in beta:
-                    if k_leg <= i_leg:
-                        continue
-                    for j_leg in gamma:
-                        if not i_leg < j_leg < k_leg:
-                            continue
-                        for l_leg in gamma:
-                            if l_leg > k_leg and p.word[j_leg - 1] == p.word[k_leg - 1]:
-                                return False  # crossing with equal inner faces
-                            if j_leg < l_leg < k_leg and p.word[j_leg - 1] != p.word[l_leg - 1]:
-                                # i < j < l < k with j,l nested inside i..k
-                                return False
-    return True
+    s, m = _shape_facts(p), _face_legs(p)
+    return all(_monochrome(m, g) for g in s.agree) and not any(_monochrome(m, g) for g in s.differ)
 
 
 def _is_noncrossing_arbitrary(p: Partition, face: str) -> bool:
-    # Every block containing an inner `face`-leg must be monochrome and must
-    # not cross any other block.
-    inner = _inner_legs(p)
-    for b in p.blocks:
-        if not any(leg in inner and p.word[leg - 1] == face for leg in b):
-            continue
-        if len({p.word[leg - 1] for leg in b}) > 1:
-            return False
-        if any(_cross(b, c) for c in p.blocks if c is not b):
-            return False
-    return True
+    # Every block containing an inner `face`-leg must be monochrome, so all
+    # `face`, and must not cross any other block.
+    s, f = _shape_facts(p), _face_legs(p, face)
+    return not s.crossing_inner & f and all(not ib & f or bm & f == bm for ib, bm in s.nested)
 
 
 def _is_pure_noncrossing(p: Partition) -> bool:
     # Noncrossing, and every block containing an inner leg is monochrome.
-    if not _is_noncrossing(p):
+    s = _shape_facts(p)
+    if not s.noncrossing:
         return False
-    inner = _inner_legs(p)
-    for b in p.blocks:
-        if any(leg in inner for leg in b) and len({p.word[leg - 1] for leg in b}) > 1:
-            return False
-    return True
+    m = _face_legs(p)
+    return all(_monochrome(m, bm) for _, bm in s.nested)
 
 
 def _is_pure_crossing(p: Partition) -> bool:
     # For every pair of blocks, the inner legs of the pair's restricted
-    # diagram share one face.  (In a two-block diagram all inner legs are
-    # mutually connected, so this is the two-block reading of "connected
-    # inner legs have the same color".  Propagating the color constraint
-    # through chains of crossings instead would violate closure under the
-    # block-replacement rewrite, e.g. on wwwbbb/13|25|46.)  The inner legs
-    # of the pair b, c are the legs of b strictly inside c's span and the
-    # legs of c strictly inside b's span.
-    blocks, word = p.blocks, p.word
-    for i, b in enumerate(blocks):
-        hi = b[-1]
-        for c in blocks[i + 1 :]:
-            if c[0] > hi:
-                break  # blocks ascend by minimum: c and the rest start after b ends
-            faces = {word[leg - 1] for leg in c if leg < hi}
-            faces.update(word[leg - 1] for leg in b if c[0] < leg < c[-1])
-            if len(faces) > 1:
-                return False
-    return True
+    # diagram share one face.
+    m = _face_legs(p)
+    return all(_monochrome(m, g) for g in _shape_facts(p).pairs)
 
 
 _PREDICATES: dict[ClassId, Callable[[Partition], bool]] = {
-    ClassId.I: lambda p: p.is_interval(),
-    ClassId.NC: _is_noncrossing,
+    ClassId.I: lambda p: not _shape_facts(p).inner,
+    ClassId.NC: lambda p: _shape_facts(p).noncrossing,
     ClassId.biNC: _is_binoncrossing,
-    ClassId.IwNCb: lambda p: _is_noncrossing(p) and _all_face_outer(p, W),
-    ClassId.NCwIb: lambda p: _is_noncrossing(p) and _all_face_outer(p, B),
+    ClassId.IwNCb: lambda p: _shape_facts(p).noncrossing and _all_face_outer(p, W),
+    ClassId.NCwIb: lambda p: _shape_facts(p).noncrossing and _all_face_outer(p, B),
     ClassId.IwAb: lambda p: _all_face_outer(p, W),
     ClassId.AwIb: lambda p: _all_face_outer(p, B),
     ClassId.NCwAb: lambda p: _is_noncrossing_arbitrary(p, W),

@@ -7,7 +7,9 @@ form: legs inside a block ascending, blocks sorted by their minimum, which is
 the order in which the blocks first appear along the legs.  Every rewrite
 builds its result from one label per leg (``Partition._from_labels``), so
 canonical form comes from numbering blocks by first appearance, without a
-sort.
+sort.  The numbering is the partition's restricted growth string, which
+keys the shape table: every partition of one shape shares its ``blocks``
+and block index tuples.
 
 The package works with two faces, written ``w`` and ``b``
 (``DEFAULT_ALPHABET``).  The operations here work over any alphabet, and
@@ -33,8 +35,30 @@ class PartitionError(ValueError):
     """Raised for malformed partitions or diagram text."""
 
 
-def _canonical_blocks(blocks: Iterable[Iterable[int]]) -> Blocks:
-    return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
+# The shape table: each set partition's blocks without a face word, stored
+# once.  The key is the restricted growth string (leg i's block number, 0-based,
+# blocks numbered by first appearance); the entry is ``(blocks, block index)``,
+# both tuples, shared by every partition of that shape.  Filled on first use,
+# for any leg count.
+_SHAPES: dict[tuple[int, ...], tuple[Blocks, tuple[int, ...]]] = {}
+
+
+def _shape(rgs: tuple[int, ...]) -> tuple[Blocks, tuple[int, ...]]:
+    """The table entry ``(blocks, block index)`` of a restricted growth string."""
+    entry = _SHAPES.get(rgs)
+    if entry is None:
+        groups: list[list[int]] = [[] for _ in range(max(rgs, default=-1) + 1)]
+        for leg, i in enumerate(rgs, 1):
+            groups[i].append(leg)
+        entry = _SHAPES[rgs] = (tuple(map(tuple, groups)), (0, *rgs))
+    return entry
+
+
+def _rgs_shape(labels: Iterable) -> tuple[Blocks, tuple[int, ...]]:
+    """The table entry of the partition whose legs carry ``labels``: labels
+    numbered by first appearance are its restricted growth string."""
+    ids: dict = {}
+    return _shape(tuple([ids.setdefault(label, len(ids)) for label in labels]))
 
 
 class Partition:
@@ -43,33 +67,40 @@ class Partition:
     __slots__ = ("word", "n", "blocks", "_block_index", "_hash")
 
     def __init__(self, word: str, blocks: Iterable[Iterable[int]]):
-        blocks = _canonical_blocks(blocks)
         n = len(word)
-        seen: list[int] = []
-        for b in blocks:
+        labels: list = [None] * n
+        for i, b in enumerate(blocks):
+            try:
+                b = tuple(b)
+            except TypeError:
+                raise PartitionError(f"block {b!r} is not a collection of legs") from None
             if not b:
                 raise PartitionError("empty block")
-            seen.extend(b)
-        if sorted(seen) != list(range(1, n + 1)):
-            raise PartitionError(f"blocks {blocks!r} do not partition [1..{n}]")
-        self._init(word, blocks)
+            for leg in b:
+                if type(leg) is not int:
+                    raise PartitionError(f"leg {leg!r} in block {b!r} is not an integer")
+                if not 1 <= leg <= n or labels[leg - 1] is not None:
+                    raise PartitionError(f"blocks do not partition [1..{n}]: leg {leg} repeated or out of range")
+                labels[leg - 1] = i
+        if None in labels:
+            raise PartitionError(f"blocks do not partition [1..{n}]: leg {labels.index(None) + 1} missing")
+        self._init(word, _rgs_shape(labels))
 
-    def _init(self, word: str, blocks: Blocks) -> None:
+    def _init(self, word: str, shape: tuple[Blocks, tuple[int, ...]]) -> None:
         self.word = word
         self.n = len(word)
-        self.blocks = blocks
-        idx = [0] * (len(word) + 1)
-        for i, b in enumerate(blocks):
-            for leg in b:
-                idx[leg] = i
-        self._block_index = tuple(idx)
-        self._hash = hash((word, blocks))
+        self.blocks, self._block_index = shape
+        self._hash = hash((word, self._block_index))
 
     @classmethod
     def _unsafe(cls, word: str, blocks: Blocks) -> "Partition":
-        """Construct from already-canonical, already-valid data (no checks)."""
+        """Construct from already-canonical, already-valid blocks (no checks)."""
+        rgs = [0] * len(word)
+        for i, b in enumerate(blocks):
+            for leg in b:
+                rgs[leg - 1] = i
         self = object.__new__(cls)
-        self._init(word, blocks)
+        self._init(word, _shape(tuple(rgs)))
         return self
 
     @classmethod
@@ -77,37 +108,17 @@ class Partition:
         """The partition whose leg i lies in the block named ``labels[i - 1]``.
 
         Labels are any hashables, one per leg of ``word``; legs with equal
-        labels share a block.  Blocks are numbered by first appearance (the
-        restricted growth relabelling), which is canonical form, so the
-        blocks, block index and hash come out of one pass with no sort.
+        labels share a block.  The blocks and block index come from the
+        shape table, shared with every partition of the same shape.
         """
-        ids: dict = {}
-        groups: list[list[int]] = []
-        idx = [0]
-        for leg, label in enumerate(labels, 1):
-            i = ids.get(label)
-            if i is None:
-                i = ids[label] = len(groups)
-                groups.append([leg])
-            else:
-                groups[i].append(leg)
-            idx.append(i)
         self = object.__new__(cls)
-        self.word = word
-        self.n = len(word)
-        self.blocks = blocks = tuple(map(tuple, groups))
-        self._block_index = tuple(idx)
-        self._hash = hash((word, blocks))
+        self._init(word, _rgs_shape(labels))
         return self
 
     def _with_word(self, word: str) -> "Partition":
         """Self with another face word of the same length; blocks are shared."""
         other = object.__new__(Partition)
-        other.word = word
-        other.n = self.n
-        other.blocks = self.blocks
-        other._block_index = self._block_index
-        other._hash = hash((word, self.blocks))
+        other._init(word, (self.blocks, self._block_index))
         return other
 
     # -- basic accessors ----------------------------------------------------
@@ -287,19 +298,15 @@ def set_partitions(n: int) -> tuple[Blocks, ...]:
     """All set partitions of [1..n] as canonical block tuples.
 
     Enumerated through restricted growth strings in lexicographic order, so
-    the result is deterministic and blocks come out sorted by minimum.
+    the result is deterministic and blocks come out sorted by minimum.  The
+    tuples are the shape table's.
     """
-    if n == 0:
-        return ((),)
     out: list[Blocks] = []
     rgs = [0] * n
 
     def rec(i: int, m: int) -> None:
-        if i == n:
-            groups: list[list[int]] = [[] for _ in range(m + 1)]
-            for pos, g in enumerate(rgs):
-                groups[g].append(pos + 1)
-            out.append(tuple(tuple(g) for g in groups))
+        if i >= n:
+            out.append(_shape(tuple(rgs))[0])
             return
         for v in range(m + 2):
             rgs[i] = v
@@ -518,4 +525,5 @@ def partition_to_json(p: Partition) -> dict:
 
 def partition_from_json(obj: dict) -> Partition:
     json_expect(obj, "an object", "partition")
-    return Partition(json_field(obj, "word", "partition"), json_field(obj, "blocks", "partition"))
+    word = json_expect(json_field(obj, "word", "partition"), "a string", "partition word")
+    return Partition(word, json_expect(json_field(obj, "blocks", "partition"), "a list", "partition blocks"))

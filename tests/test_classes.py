@@ -4,15 +4,7 @@ import itertools
 
 import pytest
 
-from multifaced.classes import (
-    ALL_CLASSES,
-    ClassId,
-    _is_binoncrossing,
-    _is_pure_crossing,
-    class_member_set,
-    member,
-    swap_class,
-)
+from multifaced.classes import ALL_CLASSES, ClassId, class_member_set, member, swap_class
 from multifaced.partitions import Partition, all_words, enumerate_partitions, parse_diagram, partitions_upto
 
 SWAP = {"w": "b", "b": "w"}
@@ -21,8 +13,10 @@ SWAP = {"w": "b", "b": "w"}
 # -- reference predicates --------------------------------------------------------
 # Inner legs and crossing pairs computed over all pairs of blocks, the
 # crossing test by sorting the two blocks' merged legs, and the classes
-# built on them as in the definitions.  biNC and pC read the blocks
-# directly and are their own reference.
+# built on them as in the definitions.  biNC and pC are frozen copies of
+# the library's earlier predicates, which read the blocks and faces of
+# each partition directly: the quadruple scan for biNC and the scan over
+# pairs of overlapping blocks for pC.
 
 
 def reference_inner(p):
@@ -63,10 +57,53 @@ def reference_pure_nc(p):
     )
 
 
+def reference_binoncrossing(p):
+    # For i < j < k < l and distinct blocks:
+    #   i,k in one block and j,l in the other  =>  f(j) != f(k)
+    #   i,l in one block and j,k in the other  =>  f(j)  = f(k)
+    blocks = p.blocks
+    for bi in range(len(blocks)):
+        for bj in range(len(blocks)):
+            if bi == bj:
+                continue
+            beta, gamma = blocks[bi], blocks[bj]
+            for i_leg in beta:
+                for k_leg in beta:
+                    if k_leg <= i_leg:
+                        continue
+                    for j_leg in gamma:
+                        if not i_leg < j_leg < k_leg:
+                            continue
+                        for l_leg in gamma:
+                            if l_leg > k_leg and p.word[j_leg - 1] == p.word[k_leg - 1]:
+                                return False  # crossing with equal inner faces
+                            if j_leg < l_leg < k_leg and p.word[j_leg - 1] != p.word[l_leg - 1]:
+                                # i < j < l < k with j,l nested inside i..k
+                                return False
+    return True
+
+
+def reference_pure_crossing(p):
+    # For every pair of blocks, the inner legs of the pair's restricted
+    # diagram share one face: the legs of b strictly inside c's span and
+    # the legs of c strictly inside b's span.
+    blocks, word = p.blocks, p.word
+    for i, b in enumerate(blocks):
+        hi = b[-1]
+        for c in blocks[i + 1 :]:
+            if c[0] > hi:
+                break  # blocks ascend by minimum: c and the rest start after b ends
+            faces = {word[leg - 1] for leg in c if leg < hi}
+            faces.update(word[leg - 1] for leg in b if c[0] < leg < c[-1])
+            if len(faces) > 1:
+                return False
+    return True
+
+
 REFERENCE = {
     ClassId.I: lambda p: p.is_interval(),
     ClassId.NC: lambda p: not reference_crossings(p),
-    ClassId.biNC: _is_binoncrossing,
+    ClassId.biNC: reference_binoncrossing,
     ClassId.IwNCb: lambda p: not reference_crossings(p) and reference_outer(p, "w"),
     ClassId.NCwIb: lambda p: not reference_crossings(p) and reference_outer(p, "b"),
     ClassId.IwAb: lambda p: reference_outer(p, "w"),
@@ -74,9 +111,14 @@ REFERENCE = {
     ClassId.NCwAb: lambda p: reference_nc_arbitrary(p, "w"),
     ClassId.AwNCb: lambda p: reference_nc_arbitrary(p, "b"),
     ClassId.pNC: reference_pure_nc,
-    ClassId.pC: _is_pure_crossing,
+    ClassId.pC: reference_pure_crossing,
     ClassId.A: lambda p: True,
 }
+
+
+def assert_reference_membership(max_legs):
+    for p in partitions_upto(max_legs):
+        assert [member(c, p) for c in ALL_CLASSES] == [REFERENCE[c](p) for c in ALL_CLASSES], p
 
 
 def basic_diagrams(q, Q):
@@ -147,7 +189,7 @@ class TestMembershipExamples:
             return True
 
         for p in partitions_upto(6):
-            assert _is_pure_crossing(p) == by_restriction(p), p
+            assert member(ClassId.pC, p) == by_restriction(p), p
 
     def test_pure_crossing_chain(self):
         # Crossing zones may carry different colors as long as each pair of
@@ -156,8 +198,12 @@ class TestMembershipExamples:
         assert not member(ClassId.pC, parse_diagram("wbwb/13|24"))
 
     def test_against_reference_predicates(self):
-        for p in partitions_upto(6):
-            assert [member(c, p) for c in ALL_CLASSES] == [REFERENCE[c](p) for c in ALL_CLASSES], p
+        assert_reference_membership(6)
+
+    @pytest.mark.slow
+    def test_against_reference_predicates_at_seven_legs(self):
+        # the 127,202 partitions of at most 7 legs
+        assert_reference_membership(7)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("c", ALL_CLASSES, ids=lambda c: c.value)

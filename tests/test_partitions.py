@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+
+from multifaced import partitions as partitions_module
 from hypothesis import given, settings, strategies as st
 
 from multifaced.classes import _cross, _inner_legs, _is_noncrossing
@@ -17,6 +19,7 @@ from multifaced.partitions import (
     one_block,
     parse_diagram,
     partition_from_json,
+    partition_index,
     partition_to_json,
     partitions_upto,
     pure_plan,
@@ -133,6 +136,31 @@ class TestConstruction:
     def test_rejects_gap(self):
         with pytest.raises(PartitionError):
             Partition("wbb", [(1, 3)])
+
+    def test_rejects_float_leg(self):
+        with pytest.raises(PartitionError, match=r"^leg 1\.0 in block \(1\.0, 2\) is not an integer$"):
+            partition_from_json({"word": "ww", "blocks": [[1.0, 2]]})
+
+    def test_rejects_bool_leg(self):
+        # True == 1, but a JSON boolean is not a leg number
+        with pytest.raises(PartitionError, match=r"^leg True in block \(True, 2\) is not an integer$"):
+            partition_from_json({"word": "ww", "blocks": [[True, 2]]})
+        with pytest.raises(PartitionError, match="is not an integer"):
+            Partition("ww", [(1,), (False,)])
+
+    def test_rejects_empty_block_among_others(self):
+        with pytest.raises(PartitionError, match="^empty block$"):
+            partition_from_json({"word": "ww", "blocks": [[1, 2], []]})
+        with pytest.raises(PartitionError, match="^empty block$"):
+            Partition("ww", [(), (1, 2)])
+
+    def test_rejects_non_list_shapes(self):
+        with pytest.raises(PartitionError, match="is not a collection of legs"):
+            Partition("ww", [1, 2])
+        with pytest.raises(ValueError, match=r"^partition blocks must be a list, got 12$"):
+            partition_from_json({"word": "ww", "blocks": 12})
+        with pytest.raises(ValueError, match=r"^partition word must be a string, got 2$"):
+            partition_from_json({"word": 2, "blocks": [[1, 2]]})
 
 
 class TestReduce:
@@ -516,3 +544,77 @@ class TestRewritesAgainstSortingConstructions:
             if len({p.word for p in triple}) == 1:
                 assert_identical(meet(triple), ref_meet(triple))
         assert_identical(concatenate([]), Partition("", []))
+
+
+# -- the shape table: one blocks tuple per set partition --------------------------
+
+
+def assert_shared(q):
+    # q's blocks and block index are the table's: the same objects as the
+    # entry of set_partitions(q.n)
+    entry = set_partitions(q.n)[partition_index(q.n)[q.blocks]]
+    assert q.blocks is entry, q
+    assert q._block_index is partitions_module._SHAPES[q._block_index[1:]][1], q
+
+
+class TestShapeTable:
+    def test_rewrites_share_blocks_up_to_five_legs(self):
+        from multifaced.classify import class_generators, closure_generate
+        from multifaced.classes import ClassId
+
+        for p in partitions_upto(5):
+            n = p.n
+            got = [
+                p.reduce(),
+                p.mirror(),
+                p.rotate(),
+                p.swap_faces({"w": "b", "b": "w"}),
+                Partition(p.word, p.blocks),
+                Partition(p.word, [list(reversed(b)) for b in reversed(p.blocks)]),
+                parse_diagram(str(p)),
+                partition_from_json(partition_to_json(p)),
+                one_block(p.word),
+                singletons(p.word),
+                concatenate([p, p]),
+                meet([p, one_block(p.word)]),
+                *refinements(p),
+            ]
+            got += [p.change_extremal_face(end, face) for end in ("first", "last") for face in "wb"]
+            for leg in range(1, n + 1):
+                got += [p.split_block_at_leg(leg), p.double_leg(leg)]
+            got += [p.merge_legs(leg) for leg in range(1, n) if p.block_of(leg) == p.block_of(leg + 1) and p.face(leg) == p.face(leg + 1)]
+            for b1, b2 in itertools.combinations(p.blocks, 2):
+                got += [p.unite_blocks(b1, b2), p.restrict(b1 + b2)]
+            for i in p.split_sites():
+                got += p.split_at(i)
+            for q in got:
+                assert_shared(q)
+        for q in closure_generate(class_generators(ClassId.NC), 4):
+            assert_shared(q)
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_long_diagrams_round_trip_through_the_table(self, n):
+        word = "wb" * 8 + "w" * (n - 16)
+        p = Partition(word, [(1, n), range(2, n, 2), range(3, n, 2)])
+        q = parse_diagram(format_diagram(p))
+        assert q == p and q.blocks is p.blocks and q._block_index is p._block_index
+        assert q.mirror().mirror().blocks is p.blocks
+
+    def test_entries_hold_tuples_matching_their_key(self):
+        list(partitions_upto(4))
+        parse_diagram("w" * 17 + "/" + "|".join(str(i) for i in range(1, 18)))
+        assert partitions_module._SHAPES
+        for rgs, entry in partitions_module._SHAPES.items():
+            assert type(rgs) is tuple and all(type(v) is int for v in rgs)
+            # a restricted growth string: each block number at most one past the largest before it
+            top = -1
+            for v in rgs:
+                assert v <= top + 1
+                top = max(top, v)
+            assert type(entry) is tuple and len(entry) == 2
+            blocks, index = entry
+            assert type(blocks) is tuple and all(type(b) is tuple and all(type(leg) is int for leg in b) for b in blocks)
+            assert blocks == tuple(
+                tuple(leg for leg in range(1, len(rgs) + 1) if rgs[leg - 1] == g) for g in range(len(set(rgs)))
+            )
+            assert type(index) is tuple and index == (0, *rgs)
