@@ -66,7 +66,6 @@ from .cumulants import (
     unit_extended_table,
 )
 from .product import (
-    BlockStructure,
     Product,
     associativity_symmetry_check,
     coarsest_refinements_in_class,
@@ -75,7 +74,6 @@ from .product import (
     extract_highest_coefficient,
     product_moment,
     product_table,
-    tagged_word_structure,
     unit_preservation_check,
     well_definedness_check,
 )

@@ -505,8 +505,9 @@ _JSON_KINDS = {
 
 def json_expect(value, kind: str, what: str):
     """``value`` if it is of the JSON kind (a key of ``_JSON_KINDS``), else
-    ValueError naming ``what`` and the value."""
-    if not isinstance(value, _JSON_KINDS[kind]):
+    ValueError naming ``what`` and the value.  JSON ``true`` and ``false``
+    load as Python bools, which are ints; no kind accepts them."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
         raise ValueError(f"{what} must be {kind}, got {json.dumps(value, default=repr)}")
     return value
 

@@ -34,15 +34,15 @@ coarsest refinements S of the factor partition inside the class, and one
 ``set_partitions``.  Plans sit in a row per (class, face word), one slot per
 set partition of the legs; a word's slot is the first term of its factor
 pattern's ``pure_plan``, the factor partition.  Factor patterns that
-relabel each other share a slot, and equal plans of other slots, classes
-and face words are one object.  Per word only the factor moments of the
+relabel each other share a slot.  Per word only the factor moments of the
 meets' blocks are read.
 
 Coefficient extraction follows the delta-functional construction: factor
 kappa's table is 1 on exactly the block subwords of one partition inside
 factor kappa and 0 elsewhere, so the product moment is that partition's
-coefficient.  On the partition's own block structure it is the highest
-coefficient, the weight.
+coefficient.  The factors are given by a factor pattern, as for
+``pure_plan``; on the partition's own pattern (factor kappa is block
+kappa) the coefficient is the highest one, the weight.
 """
 
 from __future__ import annotations
@@ -70,58 +70,6 @@ from .weights import EPS, WeightFamily, is_singleton_inductive
 # A tagged letter is (factor index, face, name); factor indices are 1-based.
 TaggedLetter = tuple[int, str, str]
 TaggedWord = tuple[TaggedLetter, ...]
-
-
-# -- block structures ---------------------------------------------------------------
-
-
-class BlockStructure:
-    """Factor indices and faces per tensor position: b in [k]^n, f a word."""
-
-    def __init__(self, b: Sequence[int], f: str):
-        if len(b) != len(f):
-            raise ValueError("factor tuple and face word must have equal length")
-        self.b = tuple(b)
-        self.f = f
-
-    @property
-    def n(self) -> int:
-        return len(self.b)
-
-    @property
-    def k(self) -> int:
-        return max(self.b, default=0)
-
-    def beta(self, kappa: int) -> tuple[int, ...]:
-        return tuple(i + 1 for i, v in enumerate(self.b) if v == kappa)
-
-    def factor_partition(self) -> Partition:
-        """The maximal adapted partition: positions grouped by factor."""
-        groups: dict[int, list[int]] = {}
-        for i, v in enumerate(self.b, start=1):
-            groups.setdefault(v, []).append(i)
-        return Partition(self.f, list(groups.values()))
-
-    def adapted(self, p: Partition) -> bool:
-        """Blocks inside one factor, and equal adjacent (factor, face) pairs
-        forced into one block."""
-        if p.word != self.f:
-            return False
-        for block in p.blocks:
-            if len({self.b[leg - 1] for leg in block}) != 1:
-                return False
-        idx = p._block_index
-        for i in range(1, self.n):
-            if self.b[i - 1] == self.b[i] and self.f[i - 1] == self.f[i] and idx[i] != idx[i + 1]:
-                return False
-        return True
-
-    def __repr__(self) -> str:
-        return f"BlockStructure({''.join(map(str, self.b))} x {self.f})"
-
-
-def tagged_word_structure(word: TaggedWord) -> BlockStructure:
-    return BlockStructure([t[0] for t in word], "".join(t[1] for t in word))
 
 
 # -- the product evaluator ------------------------------------------------------------
@@ -307,40 +255,43 @@ def associativity_symmetry_check(
 def extract_highest_coefficient(family: WeightFamily, p: Partition):
     """Recover the weight of a partition from the product engine alone.
 
-    The full coefficient of p in its own block structure (factor kappa is
+    The full coefficient of p in its own factor pattern (factor kappa is
     block kappa, in canonical order): every factor cumulant but that of the
     whole block is 0, so the product moment is the weight.  The weights do
     not depend on an order of the blocks, so no other order can give
     another value.
     """
-    s = BlockStructure([p._block_index[leg] + 1 for leg in range(1, p.n + 1)], p.word)
-    return extract_full_coefficient(family, s, p)
+    return extract_full_coefficient(family, [i + 1 for i in p._block_index[1:]], p)
 
 
-def extract_full_coefficient(family: WeightFamily, s: BlockStructure, p: Partition):
+def extract_full_coefficient(family: WeightFamily, b: Sequence[int], p: Partition):
     """The coefficient of one adapted partition in the product expansion.
 
-    Realizes the delta-functional construction: factor kappa's table is 1 on
-    exactly the ordered block subwords of p inside factor kappa and 0 on
-    every other word, so the product moment collapses to the coefficient.
+    ``b`` is the factor pattern, the factor index of each leg; the faces are
+    p's word.  p is adapted to b if each block lies inside one factor and
+    adjacent legs of one factor and one face share a block; otherwise
+    ValueError.  Realizes the delta-functional construction: factor kappa's
+    table is 1 on exactly the ordered block subwords of p inside factor
+    kappa and 0 on every other word, so the product moment collapses to the
+    coefficient.
     """
-    if not s.adapted(p):
-        raise ValueError(f"{p} is not adapted to {s}")
-    k = s.k
-    letters: list[Letter] = [(s.f[i], f"g{i + 1}") for i in range(s.n)]
-    accepted: list[set[Word]] = [set() for _ in range(k)]
-    for block in p.blocks:
-        kappa = s.b[block[0] - 1]
-        accepted[kappa - 1].add(tuple(letters[leg - 1] for leg in block))
-    factors = []
-    for kappa in range(1, k + 1):
-        gens = tuple(letters[i] for i in range(s.n) if s.b[i] == kappa)
-        ok = frozenset(accepted[kappa - 1])
-        factors.append(
-            FunctionalTable(gens, s.n, fn=lambda word, ok=ok: complex(word in ok))
-        )
-    word = tuple((s.b[i], letters[i][0], letters[i][1]) for i in range(s.n))
-    return Product(family, factors).moment(word)
+    b = tuple(b)
+    idx = p._block_index
+    if (
+        len(b) != p.n
+        or any(len({b[leg - 1] for leg in block}) != 1 for block in p.blocks)
+        or any(b[i - 1] == b[i] and p.word[i - 1] == p.word[i] and idx[i] != idx[i + 1] for i in range(1, p.n))
+    ):
+        raise ValueError(f"{p} is not adapted to the factor pattern {b}")
+    letters: list[Letter] = [(f, f"g{i}") for i, f in enumerate(p.word, start=1)]
+    # Each letter names its leg, so a block subword is a word of its own
+    # factor only: one set serves every factor's table.
+    ok = frozenset(tuple(letters[leg - 1] for leg in block) for block in p.blocks)
+    factors = [
+        FunctionalTable(tuple(g for g, v in zip(letters, b) if v == kappa), p.n, fn=lambda word: complex(word in ok))
+        for kappa in range(1, max(b, default=0) + 1)
+    ]
+    return Product(family, factors).moment(tuple((v, *g) for v, g in zip(b, letters)))
 
 
 # -- the inclusion-exclusion moment formula ------------------------------------------------
@@ -364,8 +315,6 @@ def coarsest_refinements_in_class(c: ClassId, p: Partition) -> list[Partition]:
 
 # (class, faces) -> inclusion-exclusion plan per slot j; see _ie_plan
 _ie_rows: dict[tuple[ClassId, str], list] = {}
-# every distinct inclusion-exclusion plan, mapped to itself
-_ie_interned: dict[tuple, tuple] = {}
 
 
 def _ie_plan(c: ClassId, faces: str, j: int, cap: int) -> tuple:
@@ -377,7 +326,6 @@ def _ie_plan(c: ClassId, faces: str, j: int, cap: int) -> tuple:
     and then in ``itertools.combinations`` order: the sign (-1)^(|R|-1) and
     the meet of R as the shared tuple ``set_partitions(n)[k]``.  Raises
     ``BudgetExceeded`` before any meet is taken if S is longer than cap.
-    Equal plans are returned as one object.
     """
     parts = set_partitions(len(faces))
     S = coarsest_refinements_in_class(c, Partition._unsafe(faces, parts[j]))
@@ -389,8 +337,7 @@ def _ie_plan(c: ClassId, faces: str, j: int, cap: int) -> tuple:
         for r in range(1, len(S) + 1)
         for subset in itertools.combinations(S, r)
     )
-    plan = (len(S), terms)
-    return _ie_interned.setdefault(plan, plan)
+    return (len(S), terms)
 
 
 def combinatorial_moment(

@@ -29,7 +29,7 @@ from .cumulants import (
     random_table,
     standard_generators,
 )
-from .partitions import Partition, all_words, enumerate_partitions, partitions_upto
+from .partitions import Partition, all_words, enumerate_partitions, parse_diagram, partitions_upto
 from .product import (
     Product,
     associativity_symmetry_check,
@@ -37,7 +37,6 @@ from .product import (
     coarsest_refinements_in_class,
     extract_highest_coefficient,
     product_moment,
-    tagged_word_structure,
     unit_preservation_check,
     well_definedness_check,
 )
@@ -309,8 +308,7 @@ def criterion_combinatorial(seed: int = 0) -> dict:
     b2 = psi.value((("b", "b2b"),))
     closed = a12 * a3 * b12 + a123 * b1 * b2 - a12 * a3 * b1 * b2
     example_err = abs(got - closed)
-    s = tagged_word_structure(word)
-    S = coarsest_refinements_in_class(ClassId.NCwAb, s.factor_partition())
+    S = coarsest_refinements_in_class(ClassId.NCwAb, parse_diagram("wbbwb/134|25"))
     example_S = sorted(str(q) for q in S)
     ok = worst <= EPS and example_err <= EPS and example_S == ["wbbwb/134|2|5", "wbbwb/13|25|4"]
     return _report(

@@ -18,9 +18,9 @@ list of values indexed by node id.
 
 ``weight(faces, blocks)`` is every family's one reader and ``evaluate(p)``
 is ``weight`` of a ``Partition``'s word and blocks.  A reduction-backed
-family builds a ``Partition`` only for a key new to the store; any other
-family keeps one memo dict keyed by ``(word, blocks)``, filled on a miss
-from its ``_value(faces, blocks)`` hook.
+family builds a ``Partition`` only for a key new to the store; a table,
+predicate or constant family computes each weight it is asked for and
+keeps no memo.
 
 The summation loops (``Product.moment``, ``exp_alpha``, ``cumulant``) read
 weights by the index j of ``set_partitions(n)`` that their plan terms
@@ -59,14 +59,15 @@ def approx(a: complex, b: complex) -> bool:
 
 def json_complex(value, what: str) -> complex:
     """A complex number from a JSON number or an object with numeric ``re``
-    and ``im`` (each 0 if absent); anything else raises ValueError."""
+    and ``im`` (each 0 if absent) and no other key; anything else, a JSON
+    boolean included, raises ValueError."""
     if isinstance(value, dict):
         parts = (value.get("re", 0.0), value.get("im", 0.0))
-        if all(isinstance(x, (int, float)) for x in parts):
+        if value.keys() <= {"re", "im"} and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
             return complex(*parts)
-    elif isinstance(value, (int, float, complex)):
+    elif isinstance(value, (int, float, complex)) and not isinstance(value, bool):
         return complex(value)
-    raise ValueError(f"{what} must be a number or an object with numeric re and im, got {json.dumps(value, default=repr)}")
+    raise ValueError(f"{what} must be a number or an object with numeric re and im only, got {json.dumps(value, default=repr)}")
 
 
 # -- basic coefficients --------------------------------------------------------
@@ -188,19 +189,14 @@ class WeightFamily:
 
     def __init__(self, name: str = ""):
         self.name = name or self.kind
-        self._cache: dict[tuple[str, Blocks], complex] = {}
         self._rows: dict[str, list] = {}
 
     def evaluate(self, p: Partition) -> complex:
         return self.weight(p.word, p.blocks)
 
     def weight(self, faces: str, blocks: Blocks) -> complex:
-        """The weight of the partition with canonical ``blocks`` on ``faces``,
-        from the memo or, on a miss, from ``_value``."""
-        v = self._cache.get((faces, blocks))
-        if v is None:
-            v = self._cache[(faces, blocks)] = self._value(faces, blocks)
-        return v
+        """The weight of the partition with canonical ``blocks`` on ``faces``."""
+        raise NotImplementedError
 
     def row(self, faces: str) -> list:
         """The weight row of a face word, shared by every summation loop:
@@ -210,9 +206,6 @@ class WeightFamily:
         if row is None:
             row = self._rows[faces] = [None] * len(set_partitions(len(faces)))
         return row
-
-    def _value(self, faces: str, blocks: Blocks) -> complex:
-        raise NotImplementedError
 
     def basic_coefficients(self) -> BasicCoefficients:
         """Evaluate the four defining diagrams for every ordered face pair."""
@@ -234,8 +227,7 @@ class ReductionFamily(WeightFamily):
     """
 
     def __init__(self, name: str, bc: BasicCoefficients):
-        self.name = name
-        self._rows: dict[str, list] = {}
+        super().__init__(name)
         self._bc = bc
         self._vals = [complex(1)] + [getattr(bc, kind)[(q, Q)] for kind, q, Q in _LEAVES]
 
@@ -314,7 +306,7 @@ class TableFamily(WeightFamily):
         self.entries = dict(entries)
         self.max_legs = max_legs
 
-    def _value(self, faces: str, blocks: Blocks) -> complex:
+    def weight(self, faces: str, blocks: Blocks) -> complex:
         if len(faces) > self.max_legs:
             raise MissingEntryError(f"partition has {len(faces)} legs, table stops at {self.max_legs}")
         p = Partition._unsafe(faces, blocks)
@@ -343,7 +335,7 @@ class PredicateFamily(WeightFamily):
         super().__init__(name=name)
         self.predicate = predicate
 
-    def _value(self, faces: str, blocks: Blocks) -> complex:
+    def weight(self, faces: str, blocks: Blocks) -> complex:
         return complex(bool(self.predicate(Partition._unsafe(faces, blocks))))
 
 
@@ -679,5 +671,5 @@ class ConstantBlockFamily(WeightFamily):
         super().__init__(name=f"broken-constant:{value}")
         self.value = complex(value)
 
-    def _value(self, faces: str, blocks: Blocks) -> complex:
+    def weight(self, faces: str, blocks: Blocks) -> complex:
         return complex(1) if len(blocks) <= 1 else self.value

@@ -10,7 +10,7 @@ import pytest
 from multifaced import classes, verify
 from multifaced.classes import ClassId, member
 from multifaced.partitions import Partition, parse_diagram, partition_index
-from multifaced.weights import EPS, ClassIndicatorFamily, ConstantBlockFamily, WeightFamily
+from multifaced.weights import EPS, ClassIndicatorFamily, ConstantBlockFamily, DeformedFamily, WeightFamily
 
 
 def _check(report):
@@ -43,6 +43,16 @@ def test_criterion_4_example_moment():
     _check(verify.criterion_example_moment(seed=0))
 
 
+def test_criterion_4_fails_on_conjugated_zeta(monkeypatch):
+    # a deformed tensor at conj(zeta) puts zeta where the closed form and
+    # the crossing coefficient expect conj(zeta)
+    monkeypatch.setattr(verify, "DeformedFamily", lambda base, zeta: DeformedFamily(base, zeta.conjugate()))
+    report = verify.criterion_example_moment(seed=0)
+    assert report["pass"] is False
+    assert report["crossing_coefficient_error"] == 2.0
+    assert round(report["worst_closed_form"], 2) == 3.69
+
+
 @pytest.mark.slow
 def test_criterion_5_reconstruction():
     # well-definedness, associativity, symmetry, exact restriction, and
@@ -55,7 +65,7 @@ class NonMonicFamily(WeightFamily):
 
     kind = "non-monic"
 
-    def _value(self, faces, blocks):
+    def weight(self, faces, blocks):
         return complex(1.5) if len(blocks) == 1 else complex(member(ClassId.NC, Partition(faces, blocks)))
 
 

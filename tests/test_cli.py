@@ -125,6 +125,12 @@ class TestCheckAdmissible:
         assert code == pretty_code == 0 and pretty != compact
         assert json.loads(pretty) == json.loads(compact)
 
+    def test_boolean_max_legs_rejected(self, capsys):
+        # JSON true is no integer, though Python reads it as 1
+        fam = {"kind": "table", "max_legs": True, "entries": [{"partition": "w/1", "value": 1}, {"partition": "b/1", "value": 1}]}
+        code, out, err = run(capsys, "check-admissible", "--family", json.dumps(fam), "--max-legs", "1")
+        assert code == 1 and out == "" and err == "malformed input: max_legs must be an integer, got true\n"
+
     def test_nan_zeta_rejected(self, capsys):
         fam = '{"kind": "deformed", "base": "tensor", "zeta": {"re": NaN, "im": 0}}'
         code, out, err = run(capsys, "check-admissible", "--family", fam, "--max-legs", "3")
@@ -228,6 +234,18 @@ class TestClassify:
         pretty_code, pretty, _ = run(capsys, "classify", "--basic", basic, "--pretty")
         assert code == pretty_code == 0 and pretty != compact
         assert json.loads(pretty) == json.loads(compact) and json.loads(compact)["base"] == "free"
+
+    def test_boolean_coefficients_rejected(self, capsys):
+        # JSON true is no number, though Python reads it as 1
+        basic = json.dumps({key: True for key in ("nu_w", "nu_b", "nu_wb", "xi_w", "xi_b", "xi_wb")})
+        code, out, err = run(capsys, "classify", "--basic", basic)
+        assert code == 1 and out == "" and err.startswith("malformed input: nu_w must be a number") and "got true" in err
+
+    def test_unknown_complex_key_rejected(self, capsys):
+        # a misspelled "im" is not read as an absent one, which would be 0
+        basic = '{"nu_w":1,"nu_b":1,"nu_wb":{"re":0,"imag":1},"xi_w":0,"xi_b":0,"xi_wb":{"re":0,"imag":1}}'
+        code, out, err = run(capsys, "classify", "--basic", basic)
+        assert code == 1 and out == "" and err.startswith("malformed input: nu_wb must be a number") and '"imag": 1' in err
 
     def test_wrong_shape_rejected(self, capsys):
         code, out, err = run(capsys, "classify", "--basic", "[1]")

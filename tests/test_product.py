@@ -22,7 +22,6 @@ from multifaced.partitions import (
     set_partitions,
 )
 from multifaced.product import (
-    BlockStructure,
     Product,
     associativity_symmetry_check,
     coarsest_refinements_in_class,
@@ -31,7 +30,6 @@ from multifaced.product import (
     extract_highest_coefficient,
     product_moment,
     product_table,
-    tagged_word_structure,
     unit_preservation_check,
     well_definedness_check,
 )
@@ -62,23 +60,6 @@ def rand_tagged_word(r, gens_by_factor, n):
         g = r.choice(gens_by_factor[kappa - 1])
         word.append((kappa, g[0], g[1]))
     return tuple(word)
-
-
-class TestBlockStructure:
-    def test_factor_partition(self):
-        s = BlockStructure((1, 2, 1, 1, 2), "wbbwb")
-        assert s.factor_partition() == parse_diagram("wbbwb/134|25")
-        assert s.beta(2) == (2, 5)
-
-    def test_adapted(self):
-        s = BlockStructure((1, 2, 1, 2), "wwbb")
-        assert s.adapted(parse_diagram("wwbb/13|24"))
-        assert s.adapted(parse_diagram("wwbb/1|3|24"))
-        assert not s.adapted(parse_diagram("wwbb/12|34"))
-        # equal adjacent factor-face pairs must share a block
-        s2 = BlockStructure((1, 1), "ww")
-        assert s2.adapted(parse_diagram("ww/12"))
-        assert not s2.adapted(parse_diagram("ww/1|2"))
 
 
 class TestProductMoment:
@@ -548,36 +529,49 @@ class TestFullCoefficients:
     def test_example_singleton_coefficient(self):
         zeta = 1j
         fam = DeformedFamily("tensor", zeta)
-        s = BlockStructure((1, 2, 1, 2), "wwbb")
-        got = extract_full_coefficient(fam, s, parse_diagram("wwbb/1|2|3|4"))
+        got = extract_full_coefficient(fam, (1, 2, 1, 2), parse_diagram("wwbb/1|2|3|4"))
         assert abs(got - (-(1 - zeta.conjugate()))) < 1e-9
 
     def test_maximal_equals_highest(self):
         fam = DeformedFamily("tensor", 1j)
-        s = BlockStructure((1, 2, 1, 2), "wwbb")
         sigma = parse_diagram("wwbb/13|24")
-        full = extract_full_coefficient(fam, s, sigma)
+        full = extract_full_coefficient(fam, (1, 2, 1, 2), sigma)
         highest = extract_highest_coefficient(fam, sigma)
         assert abs(full - highest) < 1e-9
 
     def test_coefficients_sum_to_all_ones_product(self):
         fam = DeformedFamily("tensor", 1j)
-        s = BlockStructure((1, 2, 1, 2), "wwbb")
         ones1 = FunctionalTable(G1, 4, fn=lambda w: complex(1))
         ones2 = FunctionalTable(G2, 4, fn=lambda w: complex(1))
         word = ((1, "w", "a1w"), (2, "w", "a2w"), (1, "b", "a1b"), (2, "b", "a2b"))
         total = product_moment(fam, (ones1, ones2), word)
         acc = sum(
-            extract_full_coefficient(fam, s, Partition("wwbb", blocks))
+            extract_full_coefficient(fam, (1, 2, 1, 2), Partition("wwbb", blocks))
             for blocks in (((1, 3), (2, 4)), ((1, 3), (2,), (4,)), ((1,), (3,), (2, 4)), ((1,), (2,), (3,), (4,)))
         )
         assert abs(acc - total) < 1e-9
 
+    def test_accepts_adapted(self):
+        # the tensor product is the product over factors of each factor's
+        # moment of its letters, so a coefficient is 1 where every factor's
+        # letters form one block, and 0 otherwise
+        fam = ClassIndicatorFamily(ClassId.A)
+        for b, diagram, want in [((1, 2, 1, 2), "wwbb/13|24", 1), ((1, 2, 1, 2), "wwbb/1|3|24", 0), ((1, 1), "ww/12", 1)]:
+            assert extract_full_coefficient(fam, b, parse_diagram(diagram)) == want, diagram
+
     def test_rejects_non_adapted(self):
         fam = DeformedFamily("tensor", 1j)
-        s = BlockStructure((1, 2, 1, 2), "wwbb")
-        with pytest.raises(ValueError):
-            extract_full_coefficient(fam, s, parse_diagram("wwbb/12|34"))
+        for b, diagram in [
+            # a block across two factors
+            ((1, 2, 1, 2), "wwbb/12|34"),
+            # adjacent legs of one factor and one face in two blocks
+            ((1, 1), "ww/1|2"),
+            # a pattern of another length than the partition
+            ((1, 2, 1), "wwbb/13|24"),
+            ((1, 2, 1, 2, 1), "wwbb/13|24"),
+        ]:
+            with pytest.raises(ValueError, match="is not adapted to the factor pattern"):
+                extract_full_coefficient(fam, b, parse_diagram(diagram))
 
 
 class TestCombinatorialMoment:
@@ -611,8 +605,7 @@ class TestCombinatorialMoment:
             (1, "w", "x3"),
             (2, "b", "y2b"),
         )
-        s = tagged_word_structure(word)
-        S = coarsest_refinements_in_class(ClassId.NCwAb, s.factor_partition())
+        S = coarsest_refinements_in_class(ClassId.NCwAb, parse_diagram("wbbwb/134|25"))
         assert sorted(str(q) for q in S) == ["wbbwb/134|2|5", "wbbwb/13|25|4"]
         assert meet(S) == parse_diagram("wbbwb/13|2|4|5")
 
@@ -674,8 +667,12 @@ class TestCombinatorialMoment:
 
     @classmethod
     def _reference_moment(cls, c, factors, word):
-        # the inclusion-exclusion sum with every refinement and meet rebuilt
-        S = cls._reference_coarsest(c, tagged_word_structure(word).factor_partition())
+        # the inclusion-exclusion sum with every refinement and meet rebuilt,
+        # from the factor partition: the legs grouped by factor
+        groups: dict[int, list[int]] = {}
+        for leg, letter in enumerate(word, start=1):
+            groups.setdefault(letter[0], []).append(leg)
+        S = cls._reference_coarsest(c, Partition("".join(letter[1] for letter in word), list(groups.values())))
         total = complex(0)
         for r in range(1, len(S) + 1):
             sign = (-1) ** (r - 1)

@@ -11,7 +11,15 @@ import pytest
 
 from multifaced import weights
 from multifaced.classes import ALL_CLASSES, ClassId, member
-from multifaced.partitions import Partition, all_words, concatenate, enumerate_partitions, parse_diagram, partitions_upto
+from multifaced.partitions import (
+    Partition,
+    all_words,
+    concatenate,
+    enumerate_partitions,
+    parse_diagram,
+    partition_index,
+    partitions_upto,
+)
 from multifaced.weights import (
     EPS,
     BasicCoefficients,
@@ -92,6 +100,24 @@ class TestWeightStore:
         for p in parts:
             assert by_weight.evaluate(p) == by_weight.weight(p.word, p.blocks)
             assert by_evaluate.weight(p.word, p.blocks) == by_evaluate.evaluate(p)
+
+    def test_no_family_keeps_a_memo(self):
+        # after weights are read through weight, evaluate and a row, every
+        # family's only dict attribute is its row store; a table family also
+        # holds its entries, the data it was built from, which reads leave as
+        # they were
+        parts = list(partitions_upto(3))
+        nc = ClassIndicatorFamily(ClassId.NC)
+        table = TableFamily({p: nc.evaluate(p) for p in parts}, max_legs=3)
+        entries = dict(table.entries)
+        for fam in (table, bi_interval_family(), ConstantBlockFamily(0.7), nc, DeformedFamily("free", 1j)):
+            for p in parts:
+                row, j = fam.row(p.word), partition_index(p.n)[p.blocks]
+                row[j] = fam.weight(p.word, p.blocks)
+                assert fam.evaluate(p) == row[j]
+            dicts = {k for k, v in vars(fam).items() if isinstance(v, dict)}
+            assert dicts == ({"_rows", "entries"} if fam is table else {"_rows"}), fam.name
+        assert table.entries == entries
 
 
 def reference_value(p, bc, rec):
