@@ -56,7 +56,6 @@ from .cumulants import (
     exp_alpha,
     product_letter_cumulant_check,
     log_alpha,
-    merged_letter_table,
     moment_via_ordered_relation,
     random_table,
     standard_generators,

@@ -62,24 +62,6 @@ def swap_class(c: ClassId) -> ClassId:
 # n - i; a predicate then tests only the faces, through the mask of b-legs.
 
 
-def _is_noncrossing(p: Partition) -> bool:
-    # One scan over the legs with a stack of the blocks opened and not yet
-    # closed: a leg whose block opened earlier must be in the innermost one.
-    idx, blocks = p._block_index, p.blocks
-    stack: list[int] = []
-    for leg in range(1, p.n + 1):
-        i = idx[leg]
-        b = blocks[i]
-        if leg == b[0]:
-            if len(b) > 1:
-                stack.append(i)
-        elif stack[-1] != i:
-            return False
-        elif leg == b[-1]:
-            stack.pop()
-    return True
-
-
 def _inner_legs(p: Partition) -> set[int]:
     """The legs strictly inside the span of another block."""
     idx = p._block_index
@@ -99,9 +81,10 @@ def _cross(b: Block, c: Block) -> bool:
 class _Shape(NamedTuple):
     """The face-independent facts of one set partition, as leg masks."""
 
-    noncrossing: bool
     inner: int  # the inner legs
-    crossing_inner: int  # the inner legs of blocks that cross another block
+    # the inner legs of blocks that cross another block; 0 iff noncrossing,
+    # since two blocks that cross each have a leg inside the other's span
+    crossing_inner: int
     # (its inner legs, its legs) per block of 2+ legs with an inner leg that crosses no other block
     nested: tuple[tuple[int, int], ...]
     pairs: tuple[int, ...]  # pC: the inner legs of each pair of blocks, 2+ legs
@@ -161,7 +144,7 @@ def _facts_of(p: Partition) -> _Shape:
                     if i < j < k:
                         differ.update(mask((j, k)) for l in gamma if l > k)
                         agree.update(mask((j, l)) for l in gamma if j < l < k)
-    return _Shape(_is_noncrossing(p), mask(inner), crossing_inner, tuple(nested), tuple(pairs), tuple(agree), tuple(differ))
+    return _Shape(mask(inner), crossing_inner, tuple(nested), tuple(pairs), tuple(agree), tuple(differ))
 
 
 _FACE_BITS = {W: str.maketrans(W + B, "10"), B: str.maketrans(W + B, "01")}
@@ -196,7 +179,7 @@ def _is_noncrossing_arbitrary(p: Partition, face: str) -> bool:
 def _is_pure_noncrossing(p: Partition) -> bool:
     # Noncrossing, and every block containing an inner leg is monochrome.
     s = _shape_facts(p)
-    if not s.noncrossing:
+    if s.crossing_inner:
         return False
     m = _face_legs(p)
     return all(_monochrome(m, bm) for _, bm in s.nested)
@@ -211,10 +194,10 @@ def _is_pure_crossing(p: Partition) -> bool:
 
 _PREDICATES: dict[ClassId, Callable[[Partition], bool]] = {
     ClassId.I: lambda p: not _shape_facts(p).inner,
-    ClassId.NC: lambda p: _shape_facts(p).noncrossing,
+    ClassId.NC: lambda p: not _shape_facts(p).crossing_inner,
     ClassId.biNC: _is_binoncrossing,
-    ClassId.IwNCb: lambda p: _shape_facts(p).noncrossing and _all_face_outer(p, W),
-    ClassId.NCwIb: lambda p: _shape_facts(p).noncrossing and _all_face_outer(p, B),
+    ClassId.IwNCb: lambda p: not _shape_facts(p).crossing_inner and _all_face_outer(p, W),
+    ClassId.NCwIb: lambda p: not _shape_facts(p).crossing_inner and _all_face_outer(p, B),
     ClassId.IwAb: lambda p: _all_face_outer(p, W),
     ClassId.AwIb: lambda p: _all_face_outer(p, B),
     ClassId.NCwAb: lambda p: _is_noncrossing_arbitrary(p, W),

@@ -58,38 +58,21 @@ class Deformed:
     zeta: complex
 
 
-def enumerate_admissible_patterns() -> list[tuple[tuple[int, ...], ClassId]]:
-    """All 0/1 basic-coefficient patterns surviving the coefficient relations.
+def enumerate_admissible_patterns() -> list[tuple[tuple[int, ...], ClassId | None]]:
+    """All 0/1 basic-coefficient patterns passing the five coefficient relations.
 
     Runs over the 64 assignments of (nu_w, nu_b, nu_wb, xi_w, xi_b, xi_wb),
-    keeps those passing the five relations, and maps each survivor to its
-    class.  Exactly twelve survive and the map is a bijection.
+    keeps those passing ``check_basic_relations`` and nothing else, and maps
+    each survivor to its class in ``PATTERNS``, or to None if it has none.
+    Exactly twelve survive and the map is a bijection onto the classes.
     """
-    out: list[tuple[tuple[int, ...], ClassId]] = []
+    out: list[tuple[tuple[int, ...], ClassId | None]] = []
     for bits in range(64):
         pattern = tuple((bits >> i) & 1 for i in range(6))
-        ok, _ = check_basic_relations(BasicCoefficients.from_sixtuple(pattern))
-        if not ok:
-            continue
-        if not _implications_hold(pattern):
-            continue
-        out.append((pattern, PATTERNS[pattern]))
+        if check_basic_relations(BasicCoefficients.from_sixtuple(pattern))[0]:
+            out.append((pattern, PATTERNS.get(pattern)))
     out.sort(key=lambda pc: pc[0])
     return out
-
-
-def _implications_hold(pattern: Sequence[int]) -> bool:
-    # If two of {nesting bicolor, crossing monochrome, crossing bicolor} are
-    # present for a face pair, every basic diagram must be present.
-    nu_w, nu_b, nu_wb, xi_w, xi_b, xi_wb = pattern
-    for trio in ((nu_wb, xi_w, xi_wb), (nu_wb, xi_b, xi_wb)):
-        if sum(trio) >= 2 and pattern != (1, 1, 1, 1, 1, 1):
-            return False
-    if (nu_wb or xi_w or xi_wb) and not nu_w:
-        return False
-    if (nu_wb or xi_b or xi_wb) and not nu_b:
-        return False
-    return True
 
 
 def swap_pattern(pattern: Sequence[int]) -> tuple[int, ...]:

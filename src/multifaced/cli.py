@@ -18,7 +18,7 @@ from .classify import BudgetExceeded, Deformed, classify_pattern, closure_genera
 from .cumulants import table_from_json
 from .partitions import DEFAULT_ALPHABET, PartitionError, enumerate_partitions, json_expect, json_field, parse_diagram
 from .product import Product, combinatorial_moment
-from .weights import EPS, BasicCoefficients, check_admissible, family_from_json
+from .weights import EPS, BasicCoefficients, check_admissible, complex_json, family_from_json
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -131,7 +131,7 @@ def cmd_classify(args) -> int:
     if got is None:
         out = {"result": "none"}
     elif isinstance(got, Deformed):
-        out = {"result": "deformed", "base": got.base, "zeta": {"re": got.zeta.real, "im": got.zeta.imag}}
+        out = {"result": "deformed", "base": got.base, "zeta": complex_json(got.zeta)}
     else:
         out = {"result": "class", "class": got.value}
     _emit(out, args.pretty)
@@ -177,22 +177,22 @@ def cmd_product(args) -> int:
         expansion: list[dict] = []
         value = prod.moment(word, expansion)
         out = {
-            "value": {"re": value.real, "im": value.imag},
+            "value": complex_json(value),
             "expansion": [
                 {
                     "partition": e["partition"],
-                    "weight": {"re": complex(e["weight"]).real, "im": complex(e["weight"]).imag},
-                    "contribution": {"re": complex(e["contribution"]).real, "im": complex(e["contribution"]).imag},
+                    "weight": complex_json(e["weight"]),
+                    "contribution": complex_json(e["contribution"]),
                 }
                 for e in expansion
             ],
         }
     else:
         value = prod.moment(word)
-        out = {"value": {"re": value.real, "im": value.imag}}
+        out = {"value": complex_json(value)}
     if args.combinatorial:
         cm = combinatorial_moment(family.class_id, factors, word)
-        out["combinatorial"] = {"re": cm.real, "im": cm.imag}
+        out["combinatorial"] = complex_json(cm)
         out["cross_check"] = abs(cm - value) <= EPS
         if not out["cross_check"]:
             _emit(out, args.pretty)

@@ -30,7 +30,7 @@ import random
 from typing import Callable, Iterable, Sequence
 
 from .partitions import Partition, check_faces, json_expect, json_field, pure_plan, set_partitions
-from .weights import WeightFamily, json_complex
+from .weights import WeightFamily, complex_json, json_complex
 
 # A generator letter is (face, name); a word is a tuple of letters.
 Letter = tuple[str, str]
@@ -50,7 +50,7 @@ class FunctionalTable:
 
     Backed either by a dense dict over all words up to the degree bound or
     by a value function (used for the tables built from proofs: delta
-    functionals, direct sums, merged letters, unit-extended, substituted).
+    functionals, direct sums, unit-extended, substituted).
     """
 
     def __init__(
@@ -240,21 +240,6 @@ def substituted_table(table: FunctionalTable, mapping: dict[Letter, Word], degre
     return FunctionalTable(tuple(mapping), degree_bound or table.degree_bound, fn=fn)
 
 
-def merged_letter_table(table: FunctionalTable, product_letter: Letter, factors: Word) -> FunctionalTable:
-    """Extend a table by one letter representing the ordered product of
-    ``factors`` (all of one face); its moments expand the letter in place."""
-    if any(f != product_letter[0] for f, _ in factors):
-        raise ValueError("product letter must have the face of its factors")
-
-    def fn(word: Word):
-        expanded: list[Letter] = []
-        for g in word:
-            expanded.extend(factors if g == product_letter else (g,))
-        return table.value(tuple(expanded))
-
-    return FunctionalTable(table.generators + (product_letter,), table.degree_bound, fn=fn)
-
-
 def unit_extended_table(table: FunctionalTable, units: dict[str, Letter]) -> FunctionalTable:
     """Extend a table by a unit letter per face: units drop out of words and
     a word of units alone has moment 1."""
@@ -294,7 +279,7 @@ def product_letter_cumulant_check(
         raise ValueError("the two letters to merge must have the same face")
     face = word[i - 1][0]
     merged: Letter = (face, f"({word[i - 1][1]}*{word[i][1]})")
-    ext = merged_letter_table(table, merged, (word[i - 1], word[i]))
+    ext = substituted_table(table, {**{g: (g,) for g in table.generators}, merged: word[i - 1 : i + 1]})
     merged_word = word[: i - 1] + (merged,) + word[i + 1 :]
 
     cache: dict[Word, complex] = {}
@@ -328,7 +313,7 @@ def table_to_json(t: FunctionalTable) -> dict:
         "degree_bound": t.degree_bound,
         "generators": [{"face": f, "name": name} for f, name in t.generators],
         "values": [
-            {"word": [[f, name] for f, name in word], "value": {"re": v.real, "im": v.imag}}
+            {"word": [[f, name] for f, name in word], "value": complex_json(v)}
             for word, v in sorted(t.values.items())
         ],
     }

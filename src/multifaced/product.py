@@ -54,15 +54,15 @@ from typing import Sequence
 
 from .classes import ClassId, member
 from .classify import BudgetExceeded
-from .partitions import DEFAULT_ALPHABET, Partition, meet, partition_index, pure_plan, refinements, set_partitions
+from .partitions import DEFAULT_ALPHABET, Partition, meet, pure_plan, refinements, set_partitions
 from .cumulants import (
     FunctionalTable,
     Letter,
     Word,
     cumulant,
-    merged_letter_table,
     random_table,
     standard_generators,
+    substituted_table,
     unit_extended_table,
 )
 from .weights import EPS, WeightFamily, is_singleton_inductive
@@ -210,7 +210,8 @@ def well_definedness_check(
     kappa, face = f1[0], f1[1]
     merged: Letter = (face, f"({f1[2]}*{f2[2]})")
     ext = list(factors)
-    ext[kappa - 1] = merged_letter_table(factors[kappa - 1], merged, ((f1[1], f1[2]), (f2[1], f2[2])))
+    t = factors[kappa - 1]
+    ext[kappa - 1] = substituted_table(t, {**{g: (g,) for g in t.generators}, merged: ((face, f1[2]), (face, f2[2]))})
     lhs = Product(family, factors).moment(word)
     merged_word = word[: i - 1] + ((kappa, face, merged[1]),) + word[i + 1 :]
     rhs = Product(family, ext).moment(merged_word)
@@ -324,16 +325,15 @@ def _ie_plan(c: ClassId, faces: str, j: int, cap: int) -> tuple:
     ``(len(S), terms)`` with S the coarsest refinements in the class and
     ``terms`` one ``(sign, blocks)`` per nonempty subset R of S, by size
     and then in ``itertools.combinations`` order: the sign (-1)^(|R|-1) and
-    the meet of R as the shared tuple ``set_partitions(n)[k]``.  Raises
+    the blocks of the meet of R.  Shapes are interned, so those blocks are
+    the very tuple ``set_partitions(n)[k]`` of the meet.  Raises
     ``BudgetExceeded`` before any meet is taken if S is longer than cap.
     """
-    parts = set_partitions(len(faces))
-    S = coarsest_refinements_in_class(c, Partition._unsafe(faces, parts[j]))
+    S = coarsest_refinements_in_class(c, Partition._unsafe(faces, set_partitions(len(faces))[j]))
     if len(S) > cap:
         raise BudgetExceeded(f"{len(S)} coarsest refinements exceed the cap {cap}")
-    index = partition_index(len(faces))
     terms = tuple(
-        ((-1) ** (r - 1), parts[index[meet(subset).blocks]])
+        ((-1) ** (r - 1), meet(subset).blocks)
         for r in range(1, len(S) + 1)
         for subset in itertools.combinations(S, r)
     )

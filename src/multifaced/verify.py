@@ -71,20 +71,20 @@ def _report(name: str, ok: bool, t0: float, **details) -> dict:
 
 def criterion_classification_count() -> dict:
     """Exactly twelve surviving basic-coefficient patterns, bijective onto
-    the classes, six fixed under face swap (nine orbits)."""
+    the classes, six fixed under face swap (nine orbits).  A survivor with
+    no class in ``PATTERNS`` fails the criterion."""
     t0 = time.perf_counter()
     pats = enumerate_admissible_patterns()
-    classes = [c for _, c in pats]
+    bijective = len(pats) == 12 and {c for _, c in pats} == set(ALL_CLASSES)
     fixed = [p for p, _ in pats if swap_pattern(p) == p]
-    swap_consistent = all(PATTERNS[swap_pattern(p)] == swap_class(c) for p, c in pats)
+    swap_consistent = all(c is not None and PATTERNS.get(swap_pattern(p)) == swap_class(c) for p, c in pats)
     derived_match = all(
-        tuple(int(v.real) for v in ClassIndicatorFamily(c).basic_coefficients().sixtuple()) == p
+        c is not None and tuple(int(v.real) for v in ClassIndicatorFamily(c).basic_coefficients().sixtuple()) == p
         for p, c in pats
     )
     orbits = len(fixed) + (len(pats) - len(fixed)) // 2
     ok = (
-        len(pats) == 12
-        and len(set(classes)) == 12
+        bijective
         and len(fixed) == 6
         and orbits == 9
         and swap_consistent
@@ -97,7 +97,7 @@ def criterion_classification_count() -> dict:
         patterns=len(pats),
         swap_fixed=len(fixed),
         orbits=orbits,
-        bijective=len(set(classes)) == 12,
+        bijective=bijective,
         patterns_match_predicates=derived_match,
     )
 

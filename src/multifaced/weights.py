@@ -70,6 +70,13 @@ def json_complex(value, what: str) -> complex:
     raise ValueError(f"{what} must be a number or an object with numeric re and im only, got {json.dumps(value, default=repr)}")
 
 
+def complex_json(z) -> dict:
+    """The JSON object ``{"re": ..., "im": ...}`` of a number, both parts
+    floats, so that ``json_complex`` reads it back."""
+    z = complex(z)
+    return {"re": z.real, "im": z.imag}
+
+
 # -- basic coefficients --------------------------------------------------------
 
 
@@ -292,7 +299,7 @@ class DeformedFamily(ReductionFamily):
         return {
             "kind": "deformed",
             "base": self.base,
-            "zeta": {"re": self.zeta.real, "im": self.zeta.imag},
+            "zeta": complex_json(self.zeta),
         }
 
 
@@ -320,7 +327,7 @@ class TableFamily(WeightFamily):
             "kind": "table",
             "max_legs": self.max_legs,
             "entries": [
-                {"partition": str(p), "value": {"re": v.real, "im": v.imag}}
+                {"partition": str(p), "value": complex_json(v)}
                 for p, v in sorted(self.entries.items(), key=lambda kv: str(kv[0]))
             ],
         }

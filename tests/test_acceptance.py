@@ -7,7 +7,7 @@ The same reports back the ``multifaced verify`` command.
 
 import pytest
 
-from multifaced import classes, verify
+from multifaced import classes, classify, verify
 from multifaced.classes import ClassId, member
 from multifaced.partitions import Partition, parse_diagram, partition_index
 from multifaced.weights import EPS, ClassIndicatorFamily, ConstantBlockFamily, DeformedFamily, WeightFamily
@@ -23,6 +23,23 @@ def _check(report):
 def test_criterion_1_classification_count():
     # twelve surviving patterns, bijective onto the classes, nine swap orbits
     _check(verify.criterion_classification_count())
+
+
+@pytest.mark.parametrize("relation, patterns, orbits", [("2", 18, 13), ("4", 18, 13), ("5", 15, 11)])
+def test_criterion_1_fails_without_a_relation(monkeypatch, relation, patterns, orbits):
+    # the survivors come from the five relations alone, so ignoring one
+    # lets through patterns that no class has
+    check = classify.check_basic_relations
+
+    def without_relation(bc):
+        failures = [f for f in check(bc)[1] if f[0] != relation]
+        return (not failures, failures)
+
+    monkeypatch.setattr(classify, "check_basic_relations", without_relation)
+    report = verify.criterion_classification_count()
+    assert report["pass"] is False
+    assert report["patterns"] == patterns and report["orbits"] == orbits
+    assert report["bijective"] is False
 
 
 @pytest.mark.slow
@@ -117,6 +134,16 @@ def test_criterion_8_units():
     # the three unit-preservation verdicts agree; the unit-preserving classes
     # are exactly those containing the pure noncrossing class
     _check(verify.criterion_units(seed=0))
+
+
+def test_criterion_8_fails_when_pnc_is_everything(monkeypatch):
+    # a pNC predicate that accepts every partition is contained in A alone,
+    # so only A and the deformations are expected, while the insertion
+    # check still finds seven unit-preserving classes
+    monkeypatch.setitem(classes._PREDICATES, ClassId.pNC, lambda p: True)
+    report = verify.criterion_units(seed=0)
+    assert report["pass"] is False and report["verdicts_agree"] is True
+    assert len(report["unit_preserving"]) == 10 and len(report["expected"]) == 5
 
 
 @pytest.mark.slow

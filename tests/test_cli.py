@@ -345,6 +345,21 @@ class TestProduct:
         combinatorial = complex(data["combinatorial"]["re"], data["combinatorial"]["im"])
         assert abs(combinatorial - complex(data["value"]["re"], data["value"]["im"]) - 1) < 1e-9
 
+    def test_zero_value_prints_floats(self, capsys):
+        # every weight 0: no term is summed, and the value prints as the
+        # expansion rows do, with float parts
+        tables = [
+            {"degree_bound": 1, "generators": [{"face": "w", "name": g}], "values": [{"word": [["w", g]], "value": 0.5}]}
+            for g in ("a", "c")
+        ]
+        diagrams = ("w/1", "b/1") + tuple(f"{q}{Q}/{b}" for q in "wb" for Q in "wb" for b in ("12", "1|2"))
+        family = {"kind": "table", "max_legs": 2, "entries": [{"partition": d, "value": 0} for d in diagrams]}
+        word = [{"factor": 1, "face": "w", "name": "a"}, {"factor": 2, "face": "w", "name": "c"}]
+        query = {"family": family, "factors": tables, "word": word}
+        code, out, _ = run(capsys, "product", "--query", json.dumps(query), "--explain")
+        assert code == 0
+        assert '"value": {"im": 0.0, "re": 0.0}' in out and '"weight": {"im": 0.0, "re": 0.0}' in out
+
     @pytest.mark.parametrize("copies", [1, 2])
     def test_foreign_face_rejected(self, capsys, copies):
         # the word "x a, w c" repeated; both lengths are rejected before

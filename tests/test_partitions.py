@@ -7,7 +7,7 @@ import pytest
 from multifaced import partitions as partitions_module
 from hypothesis import given, settings, strategies as st
 
-from multifaced.classes import _cross, _inner_legs, _is_noncrossing
+from multifaced.classes import ClassId, _cross, _inner_legs, member
 from multifaced.partitions import (
     Partition,
     PartitionError,
@@ -323,7 +323,7 @@ class TestCrossingOracle:
                 }
                 got = {(i, j) for i, j in itertools.combinations(range(len(blocks)), 2) if _cross(blocks[i], blocks[j])}
                 assert got == brute
-                assert _is_noncrossing(p) == (not brute)
+                assert member(ClassId.NC, p) == (not brute)
 
 
 class TestLocalRewrites:

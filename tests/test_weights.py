@@ -352,6 +352,22 @@ class TestAdmissibility:
         assert conds["v"] == {"witness": "www/12|3", "detail": "recolor first leg to b"}
         assert conds["vi"]["witness"] == "wwb/13|2"
 
+    @pytest.mark.parametrize(
+        "diagram, violation",
+        [
+            ("www/123", ("i", {"witness": "www/123", "detail": "value 0.5"})),
+            ("wwb/12|3", ("iii", {"witness": "wwb/12|3", "detail": "0.5 != (1+0j) after reduction"})),
+        ],
+    )
+    def test_one_wrong_entry_fails_first_at_its_condition(self, diagram, violation):
+        # the A indicator's table up to three legs with one entry at 0.5: on
+        # a one-block partition the first violation is (i), on a reducible
+        # two-block partition it is (iii)
+        fam = ClassIndicatorFamily(ClassId.A)
+        entries = {p: fam.evaluate(p) for p in partitions_upto(3)}
+        entries[parse_diagram(diagram)] = 0.5
+        assert check_admissible(TableFamily(entries, max_legs=3), 3).first_violation == violation
+
     def test_tolerance_boundary(self):
         # EPS is the one numeric tolerance: one-leg weights 1 + d pass (i)
         # for d below it and fail it, first at w/1, for d above it
